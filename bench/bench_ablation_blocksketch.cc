@@ -56,7 +56,8 @@ void Run() {
 }  // namespace
 }  // namespace sketchlink::bench
 
-int main() {
+int main(int argc, char** argv) {
+  const sketchlink::bench::Flags flags(argc, argv, {});
   sketchlink::bench::Run();
   return 0;
 }

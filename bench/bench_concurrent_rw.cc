@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,17 +26,6 @@
 
 namespace sketchlink::bench {
 namespace {
-
-size_t ParseSizeFlag(int argc, char** argv, const char* flag,
-                     size_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      const long value = std::atol(argv[i + 1]);
-      if (value > 0) return static_cast<size_t>(value);
-    }
-  }
-  return fallback;
-}
 
 struct LatencySummary {
   double mean_nanos = 0;
@@ -82,10 +70,13 @@ std::vector<uint64_t> MeasureQueries(ShardedSBlockSketch* sketch,
 }
 
 void Run(int argc, char** argv) {
-  const size_t hot = ParseSizeFlag(argc, argv, "--hot", 400);
-  const size_t cold = ParseSizeFlag(argc, argv, "--cold", 12000);
-  const size_t queries = ParseSizeFlag(argc, argv, "--queries", 100000);
-  const size_t reps = ParseSizeFlag(argc, argv, "--reps", 3);
+  const Flags flags(argc, argv,
+                    {{"--hot", "N"}, {"--cold", "N"}, {"--queries", "N"},
+                     {"--reps", "N"}});
+  const size_t hot = flags.Size("--hot", 400);
+  const size_t cold = flags.Size("--cold", 12000);
+  const size_t queries = flags.Size("--queries", 100000);
+  const size_t reps = flags.Size("--reps", 3);
   Banner("Concurrent R/W — query latency while maintenance runs",
          "Hot-set Candidates latency, quiet vs. concurrent evict/spill "
          "churn from a writer thread.");

@@ -61,6 +61,8 @@ void Run(size_t threads) {
 }  // namespace sketchlink::bench
 
 int main(int argc, char** argv) {
-  sketchlink::bench::Run(sketchlink::bench::ParseThreads(argc, argv));
+  namespace bench = sketchlink::bench;
+  const bench::Flags flags(argc, argv, {bench::kThreadsFlag});
+  bench::Run(flags.Threads());
   return 0;
 }

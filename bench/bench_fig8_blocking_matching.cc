@@ -61,7 +61,9 @@ void Run(size_t threads, const std::string& metrics_out) {
 }  // namespace sketchlink::bench
 
 int main(int argc, char** argv) {
-  sketchlink::bench::Run(sketchlink::bench::ParseThreads(argc, argv),
-                         sketchlink::bench::ParseMetricsOut(argc, argv));
+  namespace bench = sketchlink::bench;
+  const bench::Flags flags(argc, argv,
+                           {bench::kThreadsFlag, bench::kMetricsOutFlag});
+  bench::Run(flags.Threads(), flags.String("--metrics-out"));
   return 0;
 }

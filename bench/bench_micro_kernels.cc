@@ -250,4 +250,7 @@ int Run() {
 }  // namespace
 }  // namespace sketchlink::bench
 
-int main() { return sketchlink::bench::Run(); }
+int main(int argc, char** argv) {
+  const sketchlink::bench::Flags flags(argc, argv, {});
+  return sketchlink::bench::Run();
+}

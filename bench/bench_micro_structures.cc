@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "bloom/bloom_filter.h"
 #include "common/random.h"
 #include "kv/db.h"
@@ -127,3 +128,13 @@ BENCHMARK(BM_KvGet)->Arg(10000)->Arg(100000);
 
 }  // namespace
 }  // namespace sketchlink
+
+// Google Benchmark consumes its own --benchmark_* flags; any other argument
+// is rejected like every bench's unknown flags.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  const sketchlink::bench::Flags flags(argc, argv, {});
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/random.h"
 #include "text/double_metaphone.h"
 #include "text/edit_distance.h"
@@ -111,3 +112,13 @@ BENCHMARK(BM_NormalizeField);
 
 }  // namespace
 }  // namespace sketchlink::text
+
+// Google Benchmark consumes its own --benchmark_* flags; any other argument
+// is rejected like every bench's unknown flags.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  const sketchlink::bench::Flags flags(argc, argv, {});
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

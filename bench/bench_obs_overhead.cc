@@ -19,7 +19,6 @@
 //                 ephemeral port while the bench runs (scrape a live run)
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -88,24 +87,20 @@ double OverheadPercent(double base_seconds, double variant_seconds) {
 }
 
 
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
 void Run(int argc, char** argv) {
-  const size_t threads = ParseThreads(argc, argv);
-  const size_t entities = ParseSize(argc, argv, "--entities", 3000);
-  const size_t copies = ParseSize(argc, argv, "--copies", 12);
+  const Flags flags(argc, argv,
+                    {kThreadsFlag, {"--entities", "N"}, {"--copies", "N"},
+                     {"--reps", "N"}, {"--serve", ""}});
+  const size_t threads = flags.Threads();
+  const size_t entities = flags.Size("--entities", 3000);
+  const size_t copies = flags.Size("--copies", 12);
   // The matching phase is ~10ms at default scale, so a single measurement
   // is dominated by scheduling/frequency noise. The index is built once per
   // variant and the query set resolved many times on the same engine
   // (queries do not mutate the sketch); the minimum over repetitions is the
   // noise-floor estimate of the true cost.
   const int repetitions =
-      static_cast<int>(ParseSize(argc, argv, "--reps", 15));
+      static_cast<int>(flags.Size("--reps", 15));
 
   Banner("Observability overhead — registry and tracer variants",
          "Identical BlockSketch workload; `observed` arms latency "
@@ -124,7 +119,7 @@ void Run(int argc, char** argv) {
   const auto tracer_regs = tracer_default.RegisterMetrics(&registry, "traced");
 
   std::unique_ptr<obs::HttpServer> server;
-  if (HasFlag(argc, argv, "--serve")) {
+  if (flags.Has("--serve")) {
     server = std::make_unique<obs::HttpServer>(obs::HttpServer::Options());
     obs::RegisterTelemetryHandlers(server.get(), &registry, &tracer_default);
     const Status status = server->Start();

@@ -21,7 +21,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -38,17 +37,6 @@
 
 namespace sketchlink::bench {
 namespace {
-
-size_t ParseSizeFlag(int argc, char** argv, const char* flag,
-                     size_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      const long value = std::atol(argv[i + 1]);
-      if (value > 0) return static_cast<size_t>(value);
-    }
-  }
-  return fallback;
-}
 
 std::string RecordJson(uint64_t id) {
   const char* first = id % 2 == 0 ? "ALICE" : "BOB";
@@ -282,12 +270,16 @@ bool RunSweep(bool observe, const SweepConfig& config,
 
 int Main(int argc, char** argv) {
   SweepConfig config;
-  config.connections = ParseSizeFlag(argc, argv, "--connections", 2);
-  config.seconds = ParseSizeFlag(argc, argv, "--seconds", 2);
-  config.qps0 = ParseSizeFlag(argc, argv, "--qps0", 40);
-  config.steps = ParseSizeFlag(argc, argv, "--steps", 3);
-  config.insert_every = ParseSizeFlag(argc, argv, "--insert-every", 8);
-  config.preload = ParseSizeFlag(argc, argv, "--preload", 200);
+  const Flags flags(argc, argv,
+                    {{"--connections", "N"}, {"--seconds", "N"},
+                     {"--qps0", "N"}, {"--steps", "N"},
+                     {"--insert-every", "N"}, {"--preload", "N"}});
+  config.connections = flags.Size("--connections", 2);
+  config.seconds = flags.Size("--seconds", 2);
+  config.qps0 = flags.Size("--qps0", 40);
+  config.steps = flags.Size("--steps", 3);
+  config.insert_every = flags.Size("--insert-every", 8);
+  config.preload = flags.Size("--preload", 200);
 
   Banner("serve_load",
          "Open-loop QPS sweep against the serving plane: latency is "

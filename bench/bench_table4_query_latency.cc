@@ -81,10 +81,11 @@ void Run(size_t threads, size_t entities, size_t copies,
 }  // namespace sketchlink::bench
 
 int main(int argc, char** argv) {
-  sketchlink::bench::Run(
-      sketchlink::bench::ParseThreads(argc, argv),
-      sketchlink::bench::ParseSize(argc, argv, "--entities", 3000),
-      sketchlink::bench::ParseSize(argc, argv, "--copies", 12),
-      sketchlink::bench::ParseMetricsOut(argc, argv));
+  namespace bench = sketchlink::bench;
+  const bench::Flags flags(argc, argv,
+                           {bench::kThreadsFlag, {"--entities", "N"},
+                            {"--copies", "N"}, bench::kMetricsOutFlag});
+  bench::Run(flags.Threads(), flags.Size("--entities", 3000),
+             flags.Size("--copies", 12), flags.String("--metrics-out"));
   return 0;
 }

@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,51 +37,104 @@ inline std::vector<datagen::DatasetKind> AllKinds() {
           datagen::DatasetKind::kLab};
 }
 
-/// Parses `--threads N` from the command line; defaults to
-/// hardware_concurrency(); non-numeric or non-positive values fall back to
-/// the default. Match results, comparison counts and quality metrics are
-/// identical at every setting — the flag trades wall-clock only. (The
-/// bounded SBlockSketch's eviction/disk-load telemetry is the exception:
-/// concurrent queries interleave differently across stripes, like cache
-/// statistics.)
-inline size_t ParseThreads(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      const long value = std::atol(argv[i + 1]);
-      if (value > 0) return static_cast<size_t>(value);
-    }
-  }
-  return ThreadPool::DefaultThreads();
-}
+/// A bench's command line, checked against the flags the bench declares.
+/// Each flag is `--name VALUE`, or a bare switch when declared with an
+/// empty value name; a value named "N" must be a positive integer. Any
+/// other argument, a flag without its value, or a malformed N prints usage
+/// and exits 2, so a mistyped flag (`--qps` for `--qps0`) can never run the
+/// default configuration instead.
+class Flags {
+ public:
+  struct Spec {
+    const char* name;   // "--threads"
+    const char* value;  // "N", "PATH", or "" for a switch
+  };
 
-/// Parses `--<flag> N` (a positive size) from the command line; `fallback`
-/// when absent or invalid. Benches use this for scale knobs (--entities,
-/// --copies) so the regression gate can drive a tiny smoke run.
-inline size_t ParseSize(int argc, char** argv, const char* flag,
-                        size_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      const long value = std::atol(argv[i + 1]);
-      if (value > 0) return static_cast<size_t>(value);
+  Flags(int argc, char** argv, std::initializer_list<Spec> specs)
+      : program_(argc > 0 ? argv[0] : "bench"), specs_(specs) {
+    for (int i = 1; i < argc; ++i) {
+      const Spec* spec = Find(argv[i]);
+      if (spec == nullptr) Usage(std::string("unknown flag ") + argv[i]);
+      if (*spec->value == '\0') {
+        values_[spec->name] = "";
+        continue;
+      }
+      if (i + 1 >= argc) Usage(std::string(spec->name) + " needs a value");
+      const std::string value = argv[++i];
+      if (std::strcmp(spec->value, "N") == 0 && !PositiveInteger(value)) {
+        Usage(std::string(spec->name) + " needs a positive integer, got '" +
+              value + "'");
+      }
+      values_[spec->name] = value;
     }
   }
-  return fallback;
-}
+
+  bool Has(const char* name) const { return values_.count(name) != 0; }
+
+  /// An N flag's value, or `fallback` when the flag is absent.
+  size_t Size(const char* name, size_t fallback) const {
+    const auto it = values_.find(name);
+    return it == values_.end() ? fallback : std::stoull(it->second);
+  }
+
+  /// A flag's value, or "" when the flag is absent.
+  std::string String(const char* name) const {
+    const auto it = values_.find(name);
+    return it == values_.end() ? "" : it->second;
+  }
+
+  /// `--threads N` (declare kThreadsFlag); defaults to
+  /// hardware_concurrency(). Match results, comparison counts and quality
+  /// metrics are identical at every setting — the flag trades wall-clock
+  /// only. (The bounded SBlockSketch's eviction/disk-load telemetry is the
+  /// exception: concurrent queries interleave differently across stripes,
+  /// like cache statistics.)
+  size_t Threads() const {
+    return Size("--threads", ThreadPool::DefaultThreads());
+  }
+
+ private:
+  const Spec* Find(const char* arg) const {
+    for (const Spec& spec : specs_) {
+      if (std::strcmp(arg, spec.name) == 0) return &spec;
+    }
+    return nullptr;
+  }
+
+  static bool PositiveInteger(const std::string& value) {
+    if (value.empty() || value.size() > 18) return false;
+    for (const char c : value) {
+      if (c < '0' || c > '9') return false;
+    }
+    return std::stoull(value) > 0;
+  }
+
+  [[noreturn]] void Usage(const std::string& error) const {
+    std::fprintf(stderr, "%s: %s\nusage: %s", program_, error.c_str(),
+                 program_);
+    for (const Spec& spec : specs_) {
+      std::fprintf(stderr, " [%s%s%s]", spec.name, *spec.value ? " " : "",
+                   spec.value);
+    }
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  }
+
+  const char* program_;
+  std::vector<Spec> specs_;
+  std::map<std::string, std::string> values_;
+};
+
+inline constexpr Flags::Spec kThreadsFlag = {"--threads", "N"};
+
+/// The `--metrics-out PATH` flag: benches that declare it attach a
+/// MetricRegistry to their pipeline and write registry snapshots to PATH
+/// next to their BENCH_<name>.json sidecar (see MetricsSession).
+inline constexpr Flags::Spec kMetricsOutFlag = {"--metrics-out", "PATH"};
 
 /// Prints a banner naming the experiment being reproduced.
 inline void Banner(const char* experiment, const char* description) {
   std::printf("\n==== %s ====\n%s\n\n", experiment, description);
-}
-
-/// Parses `--metrics-out PATH` from the command line; empty when absent.
-/// Benches that support the flag attach a MetricRegistry to their pipeline
-/// and write registry snapshots to PATH next to their BENCH_<name>.json
-/// sidecar (see MetricsSession).
-inline std::string ParseMetricsOut(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--metrics-out") == 0) return argv[i + 1];
-  }
-  return "";
 }
 
 /// Owns the optional per-run MetricRegistry behind `--metrics-out`. Without

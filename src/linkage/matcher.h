@@ -8,6 +8,8 @@
 #include "common/flat_set.h"
 #include "common/status.h"
 #include "core/published_block.h"
+#include "linkage/record_store.h"
+#include "linkage/similarity.h"
 #include "obs/registry.h"
 #include "record/record.h"
 
@@ -15,16 +17,64 @@ namespace sketchlink {
 
 class ThreadPool;
 
+/// One verified candidate: its similarity to the query, and its id.
+struct ScoredMatch {
+  double score;
+  RecordId id;
+};
+
 /// Reusable per-thread buffers for one query resolution. Everything keeps
 /// its capacity across queries (CandidateList pins are dropped by clear(),
-/// FlatIdSet clears by generation bump), so a warm scratch makes the
-/// steady-state kSubBlock resolve path allocation-free.
+/// FlatIdSet clears by generation bump, the scorer re-binds in place), so a
+/// warm scratch makes the steady-state resolve path allocation-free.
 struct QueryScratch {
   std::vector<CandidateList> groups;  // pinned candidate views per key
   FlatIdSet seen;                     // per-query duplicate-pair filter
-  std::vector<RecordId> matches;      // the query's result set
+  std::vector<RecordId> candidates;   // deduplicated ids, first-seen order
+  std::vector<RecordView> views;      // candidates' stored records
+  SimilarityScorer scorer;            // bound to the current query
   std::string norm_scratch;           // candidate-field normalization buffer
+  std::vector<ScoredMatch> scored;    // verified candidates >= threshold
+  std::vector<RecordId> matches;      // the query's result set
 };
+
+/// The verified-query routine: the engine's matchers and the service's
+/// query handler both resolve through it. Dedupes the ids of `groups` into
+/// scratch->candidates in first-seen order (duplicate pairs from redundant
+/// blocking are dropped, paper Sec. 7.2 footnote 17). With `verify` it then
+/// fetches the candidates' records in one RecordStore::GetViews call,
+/// scores each against `query` in place, and appends (score, id) to
+/// scratch->scored, in candidate order, for every score at or above the
+/// similarity threshold. A candidate missing from `store` fails the call
+/// with the store's status. Templated over the group container: the
+/// sketches hand over pinned CandidateList views, the naive matcher plain
+/// id vectors.
+template <typename CandidateGroups>
+Status ResolveCandidates(const Record& query, const CandidateGroups& groups,
+                         bool verify, const RecordSimilarity& similarity,
+                         const RecordStore& store, QueryScratch* scratch) {
+  scratch->seen.Clear();
+  scratch->candidates.clear();
+  scratch->scored.clear();
+  for (const auto& group : groups) {
+    for (const RecordId id : group) {
+      if (scratch->seen.Insert(id)) scratch->candidates.push_back(id);
+    }
+  }
+  if (!verify) return Status::OK();
+  SKETCHLINK_RETURN_IF_ERROR(
+      store.GetViews(scratch->candidates, &scratch->views));
+  // Query-side normalization happens once per query, in reused buffers.
+  scratch->scorer.Bind(similarity, query);
+  for (size_t i = 0; i < scratch->candidates.size(); ++i) {
+    const double score =
+        scratch->scorer.Similarity(scratch->views[i], &scratch->norm_scratch);
+    if (score >= similarity.threshold()) {
+      scratch->scored.push_back(ScoredMatch{score, scratch->candidates[i]});
+    }
+  }
+  return Status::OK();
+}
 
 /// One data-set record with its blocking keys already computed. BuildIndex
 /// prepares these in parallel (key extraction is pure), then hands the whole

@@ -62,6 +62,34 @@ Result<RecordView> RecordStore::GetView(RecordId id) const {
   return Status::NotFound("record " + std::to_string(id));
 }
 
+Status RecordStore::GetViews(std::span<const RecordId> ids,
+                             std::vector<RecordView>* views) const {
+  views->resize(ids.size());
+  bool missed = false;
+  {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      auto it = index_.find(ids[i]);
+      if (it == index_.end()) {
+        (*views)[i] = RecordView();  // invalid: resolved below
+        missed = true;
+        continue;
+      }
+      Result<RecordView> view = RecordView::FromEncoded(it->second);
+      if (!view.ok()) return view.status();
+      (*views)[i] = *view;
+    }
+  }
+  if (!missed) return Status::OK();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if ((*views)[i].valid()) continue;
+    Result<RecordView> view = GetView(ids[i]);
+    if (!view.ok()) return view.status();
+    (*views)[i] = *view;
+  }
+  return Status::OK();
+}
+
 size_t RecordStore::ApproximateMemoryUsage() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return sizeof(*this) + arena_.bytes_reserved() +

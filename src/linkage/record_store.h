@@ -2,9 +2,11 @@
 #define SKETCHLINK_LINKAGE_RECORD_STORE_H_
 
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/arena.h"
 #include "common/status.h"
@@ -55,6 +57,15 @@ class RecordStore {
   /// KV-backed store, a miss in the in-memory index faults the payload in
   /// from the database and caches it in the arena.
   Result<RecordView> GetView(RecordId id) const;
+
+  /// GetView for a whole candidate set: `(*views)[i]` is the view of
+  /// `ids[i]`. Every in-memory hit is resolved under one shared lock
+  /// instead of one lock per id (concurrent verifiers otherwise bounce the
+  /// lock's cache line once per candidate); misses then go through GetView
+  /// one by one. Fails with the first miss's status. Allocation-free once
+  /// `views` has the capacity.
+  Status GetViews(std::span<const RecordId> ids,
+                  std::vector<RecordView>* views) const;
 
   /// Number of records stored (in-memory index size).
   size_t size() const {

@@ -88,19 +88,19 @@ double RecordSimilarity::Similarity(const Record& a, const Record& b) const {
   return total_weight <= 0 ? 0.0 : total / total_weight;
 }
 
-SimilarityScorer::SimilarityScorer(const RecordSimilarity& similarity,
-                                   const Record& query)
-    : threshold_(similarity.threshold()) {
+void SimilarityScorer::Bind(const RecordSimilarity& similarity,
+                            const Record& query) {
+  threshold_ = similarity.threshold();
   const std::vector<FieldSpec>& specs = similarity.field_specs();
-  fields_.reserve(specs.size());
-  for (const FieldSpec& spec : specs) {
-    const size_t index = static_cast<size_t>(spec.field_index);
-    QueryField field;
-    field.spec = spec;
-    field.value = index < query.fields.size()
-                      ? text::NormalizeField(query.fields[index])
-                      : "";
-    fields_.push_back(std::move(field));
+  fields_.resize(specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    QueryField& field = fields_[i];
+    field.spec = specs[i];
+    field.value.clear();
+    const size_t index = static_cast<size_t>(specs[i].field_index);
+    if (index < query.fields.size()) {
+      text::NormalizeFieldTo(query.fields[index], &field.value);
+    }
   }
 }
 

@@ -70,12 +70,22 @@ double CompareFieldValues(FieldComparatorKind kind, const std::string& a,
 /// Query-side-memoized similarity: RecordSimilarity::Similarity normalizes
 /// BOTH records' fields on every call, so verifying one query against k
 /// candidates re-normalizes the query k times. A scorer normalizes the
-/// query's match fields once at construction and returns exactly
-/// RecordSimilarity::Similarity(query, candidate) afterwards — the verified
-/// matchers build one per Resolve.
+/// query's match fields once when bound and returns exactly
+/// RecordSimilarity::Similarity(query, candidate) afterwards. The verified
+/// query routine keeps one per thread and re-binds it to each query.
 class SimilarityScorer {
  public:
-  SimilarityScorer(const RecordSimilarity& similarity, const Record& query);
+  /// Unbound: scores 0 until Bind.
+  SimilarityScorer() = default;
+
+  SimilarityScorer(const RecordSimilarity& similarity, const Record& query) {
+    Bind(similarity, query);
+  }
+
+  /// Re-targets the scorer at `query` under `similarity`, reusing its
+  /// buffers: re-binding under the same similarity allocates nothing once
+  /// the normalized query fields fit the capacity earlier queries left.
+  void Bind(const RecordSimilarity& similarity, const Record& query);
 
   /// == similarity.Similarity(query, candidate), bit for bit.
   double Similarity(const Record& candidate) const;
@@ -101,7 +111,7 @@ class SimilarityScorer {
     std::string value;  // normalized query-side field value
   };
   std::vector<QueryField> fields_;
-  double threshold_;
+  double threshold_ = 0.0;
 };
 
 }  // namespace sketchlink

@@ -1,57 +1,51 @@
 #include "linkage/sketch_matchers.h"
 
-#include <optional>
-
 #include "common/memory_tracker.h"
 
 namespace sketchlink {
 
+Status CollectCandidates(ShardedSBlockSketch& sketch, const KeyScratch& keys,
+                         std::vector<CandidateList>* groups) {
+  // clear() drops the previous query's pins but keeps the vector capacity;
+  // Candidates pins a published snapshot without allocating.
+  groups->clear();
+  if (groups->capacity() < keys.num_keys) groups->reserve(keys.num_keys);
+  for (size_t i = 0; i < keys.num_keys; ++i) {
+    Result<CandidateList> group =
+        sketch.Candidates(keys.keys[i], keys.key_values);
+    if (!group.ok()) return group.status();
+    groups->push_back(std::move(*group));
+  }
+  return Status::OK();
+}
+
 namespace {
 
-/// Shared resolution tail, writing into reused scratch buffers. In
-/// kSubBlock mode the deduplicated sub-block members ARE the result set
-/// (paper Sec. 5 semantics, constant work per query) — a warm scratch makes
-/// that path allocation-free. In kVerified mode each member is fetched and
-/// compared against the query, and only pairs above the similarity
-/// threshold survive. `comparisons` is bumped once with the query's total
-/// so concurrent resolvers don't contend per member. Templated over the
-/// candidate-group container: the sketches hand over pinned CandidateList
-/// views (no id copies), the naive matcher plain id vectors.
+/// Shared resolution tail on the verified-query routine. In kSubBlock mode
+/// the deduplicated sub-block members ARE the result set (paper Sec. 5
+/// semantics, constant work per query). In kVerified mode only the members
+/// scoring at or above the similarity threshold survive, in candidate
+/// order. `comparisons` is bumped once with the query's total so concurrent
+/// resolvers don't contend per member.
 template <typename CandidateGroups>
 Status FinishResolveInto(const Record& query, const CandidateGroups& candidates,
                          ResolveMode mode, const RecordSimilarity& similarity,
                          const RecordStore& store,
-                         std::atomic<uint64_t>* comparisons, FlatIdSet* seen,
-                         std::vector<RecordId>* matches,
-                         std::string* norm_scratch) {
-  seen->Clear();
-  matches->clear();
-  uint64_t local_comparisons = 0;
-  // The scorer normalizes the query's match fields once for the whole
-  // candidate set instead of once per verified pair; same scores bit for
-  // bit (see SimilarityScorer). kSubBlock mode never compares, so it skips
-  // the construction too.
-  std::optional<SimilarityScorer> scorer;
-  if (mode == ResolveMode::kVerified) scorer.emplace(similarity, query);
-  for (const auto& group : candidates) {
-    for (RecordId id : group) {
-      if (!seen->Insert(id)) continue;  // footnote 17: drop dup pairs
-      if (mode == ResolveMode::kSubBlock) {
-        matches->push_back(id);
-        continue;
-      }
-      // Zero-copy verification: score the arena-backed encoded payload in
-      // place instead of decoding an owning Record per candidate.
-      auto view = store.GetView(id);
-      if (!view.ok()) return view.status();
-      ++local_comparisons;
-      if (scorer->Matches(*view, norm_scratch)) {
-        matches->push_back(id);
-      }
-    }
+                         std::atomic<uint64_t>* comparisons,
+                         QueryScratch* scratch) {
+  const bool verify = mode == ResolveMode::kVerified;
+  SKETCHLINK_RETURN_IF_ERROR(ResolveCandidates(query, candidates, verify,
+                                               similarity, store, scratch));
+  std::vector<RecordId>& matches = scratch->matches;
+  if (!verify) {
+    matches.assign(scratch->candidates.begin(), scratch->candidates.end());
+    return Status::OK();
   }
-  if (local_comparisons > 0) {
-    comparisons->fetch_add(local_comparisons, std::memory_order_relaxed);
+  matches.clear();
+  for (const ScoredMatch& match : scratch->scored) matches.push_back(match.id);
+  if (!scratch->candidates.empty()) {
+    comparisons->fetch_add(scratch->candidates.size(),
+                           std::memory_order_relaxed);
   }
   return Status::OK();
 }
@@ -62,14 +56,10 @@ Result<std::vector<RecordId>> FinishResolve(
     const Record& query, const CandidateGroups& candidates, ResolveMode mode,
     const RecordSimilarity& similarity, const RecordStore& store,
     std::atomic<uint64_t>* comparisons) {
-  FlatIdSet seen;
-  std::vector<RecordId> matches;
-  std::string norm_scratch;
-  SKETCHLINK_RETURN_IF_ERROR(FinishResolveInto(query, candidates, mode,
-                                               similarity, store, comparisons,
-                                               &seen, &matches,
-                                               &norm_scratch));
-  return matches;
+  QueryScratch scratch;
+  SKETCHLINK_RETURN_IF_ERROR(FinishResolveInto(
+      query, candidates, mode, similarity, store, comparisons, &scratch));
+  return std::move(scratch.matches);
 }
 
 /// Flattens a prepared batch into per-(key, record) sketch inserts, in batch
@@ -138,8 +128,7 @@ Status BlockSketchMatcher::ResolveInto(const Record& query,
                                                  keys.key_values));
   }
   return FinishResolveInto(query, scratch->groups, mode_, similarity_, *store_,
-                           &comparisons_, &scratch->seen, &scratch->matches,
-                           &scratch->norm_scratch);
+                           &comparisons_, scratch);
 }
 
 Status SBlockSketchMatcher::Insert(const Record& record,
@@ -177,18 +166,10 @@ Result<std::vector<RecordId>> SBlockSketchMatcher::Resolve(
 Status SBlockSketchMatcher::ResolveInto(const Record& query,
                                         const KeyScratch& keys,
                                         QueryScratch* scratch) {
-  scratch->groups.clear();
-  if (scratch->groups.capacity() < keys.num_keys) {
-    scratch->groups.reserve(keys.num_keys);
-  }
-  for (size_t i = 0; i < keys.num_keys; ++i) {
-    auto group = sketch_.Candidates(keys.keys[i], keys.key_values);
-    if (!group.ok()) return group.status();
-    scratch->groups.push_back(std::move(*group));
-  }
+  SKETCHLINK_RETURN_IF_ERROR(
+      CollectCandidates(sketch_, keys, &scratch->groups));
   return FinishResolveInto(query, scratch->groups, mode_, similarity_, *store_,
-                           &comparisons_, &scratch->seen, &scratch->matches,
-                           &scratch->norm_scratch);
+                           &comparisons_, scratch);
 }
 
 Status NaiveBlockMatcher::Insert(const Record& record,

@@ -137,6 +137,13 @@ class SBlockSketchMatcher : public OnlineMatcher {
   std::vector<obs::Registration> metric_registrations_;
 };
 
+/// Pins the candidate group of every key in `keys` into `*groups` (cleared
+/// first, capacity kept), failing with the first lookup's error. The
+/// SBlockSketch matcher and the service's query handler both collect their
+/// candidates through it.
+Status CollectCandidates(ShardedSBlockSketch& sketch, const KeyScratch& keys,
+                         std::vector<CandidateList>* groups);
+
 /// The naive matching phase the paper's methods replace: a query is compared
 /// against every record of its target block(s). Used as the "linear"
 /// reference point in benchmarks and tests. Resolution only reads the block

@@ -49,7 +49,7 @@ Registration MetricRegistry::AddEntry(Entry entry) {
   // seeing one canonical spelling.
   entry.id.name = SanitizeMetricName(entry.id.name);
   for (auto& [key, value] : entry.id.labels) key = SanitizeMetricName(key);
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<internal::FifoMutex> lock(mutex_);
   entry.token = next_token_++;
   const uint64_t token = entry.token;
   entries_.push_back(std::move(entry));
@@ -84,7 +84,7 @@ Registration MetricRegistry::AddHistogramFn(
 }
 
 void MetricRegistry::Unregister(uint64_t token) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<internal::FifoMutex> lock(mutex_);
   entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
                                 [token](const Entry& entry) {
                                   return entry.token == token;
@@ -93,7 +93,7 @@ void MetricRegistry::Unregister(uint64_t token) {
 }
 
 RegistrySnapshot MetricRegistry::TakeSnapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<internal::FifoMutex> lock(mutex_);
   RegistrySnapshot snapshot;
   snapshot.metrics.reserve(entries_.size());
   for (const Entry& entry : entries_) {
@@ -117,7 +117,7 @@ RegistrySnapshot MetricRegistry::TakeSnapshot() const {
 }
 
 size_t MetricRegistry::num_metrics() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<internal::FifoMutex> lock(mutex_);
   return entries_.size();
 }
 

@@ -14,7 +14,13 @@
 // instruments is not linearizable — concurrent updates may be visible in
 // one metric and not another. That is the documented contract: good enough
 // for dashboards and rate computation, not for invariant checking.
+//
+// The registry mutex is granted first come, first served. A scraper that
+// snapshots back to back relocks a plain mutex before a waiter woken by its
+// unlock can run, so it would starve registration (tenant create/delete)
+// for as long as the scrapes keep coming.
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -29,6 +35,35 @@
 namespace sketchlink::obs {
 
 class MetricRegistry;
+
+namespace internal {
+
+/// A ticket lock: lock() takes the next ticket and waits for its turn, so
+/// the holders follow arrival order. BasicLockable, for std::lock_guard.
+class FifoMutex {
+ public:
+  void lock() {
+    std::unique_lock<std::mutex> guard(mutex_);
+    const uint64_t ticket = next_ticket_++;
+    turn_.wait(guard, [&] { return now_serving_ == ticket; });
+  }
+
+  void unlock() {
+    {
+      std::lock_guard<std::mutex> guard(mutex_);
+      ++now_serving_;
+    }
+    turn_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable turn_;
+  uint64_t next_ticket_ = 0;  // guarded by mutex_
+  uint64_t now_serving_ = 0;  // guarded by mutex_
+};
+
+}  // namespace internal
 
 /// Identity of one exported metric: a Prometheus-style name plus ordered
 /// key/value labels and a help string.
@@ -208,7 +243,7 @@ class MetricRegistry final : public Registry {
 
   Options options_;
   TraceRing trace_ring_;
-  mutable std::mutex mutex_;
+  mutable internal::FifoMutex mutex_;
   std::vector<Entry> entries_;  // guarded by mutex_, registration order
   uint64_t next_token_ = 1;     // guarded by mutex_
 };

@@ -65,13 +65,14 @@ class Json {
   void Append(Json value);
   void Set(std::string key, Json value);
 
-  /// Compact serialization (no whitespace). Numbers that hold an exact
-  /// integer in [0, 2^53] print without a decimal point.
+  /// Compact serialization (no whitespace), built on AppendJsonString and
+  /// AppendJsonNumber.
   std::string Dump() const;
 
   /// Parses `text` (entire input must be one JSON value; trailing
   /// whitespace allowed, trailing garbage is an error). InvalidArgument
-  /// with a position-annotated message on malformed input.
+  /// with a position-annotated message on malformed input, including a
+  /// number too large for a finite double.
   static Result<Json> Parse(std::string_view text);
 
  private:
@@ -85,8 +86,15 @@ class Json {
   std::vector<std::pair<std::string, Json>> object_;
 };
 
-/// Escapes `s` as a JSON string literal including the surrounding quotes.
-std::string JsonEscape(std::string_view s);
+/// Appends `s` as a JSON string literal, surrounding quotes included.
+/// Json::Dump and the responses written in place share it.
+void AppendJsonString(std::string_view s, std::string* out);
+
+/// Appends `value` as Json::Number(value).Dump() prints it: an exact
+/// integer in [0, 2^53] without a decimal point, anything else as the
+/// shortest of %.15g, %.16g, %.17g that reads back as `value` (inf and nan
+/// print as printf prints them, which is not JSON; Parse rejects both).
+void AppendJsonNumber(double value, std::string* out);
 
 }  // namespace sketchlink::serve
 

@@ -294,7 +294,7 @@ std::string Server::StatuszText() {
   return out;
 }
 
-void Server::Respond(uint64_t conn_id, const obs::HttpResponse& response) {
+void Server::Respond(uint64_t conn_id, obs::HttpResponse response) {
   if (response.status >= 500) {
     responses_5xx_.Inc();
   } else if (response.status >= 400) {
@@ -302,7 +302,7 @@ void Server::Respond(uint64_t conn_id, const obs::HttpResponse& response) {
   } else {
     responses_2xx_.Inc();
   }
-  loop_->SendResponse(conn_id, response);
+  loop_->SendResponse(conn_id, std::move(response));
 }
 
 void Server::OnRequest(uint64_t conn_id, obs::HttpRequest&& http) {
@@ -324,10 +324,10 @@ void Server::OnRequest(uint64_t conn_id, obs::HttpRequest&& http) {
       scope.MarkError();
     }
     work.request.http = std::move(http);
-    const obs::HttpResponse response = JsonError(503, "server draining");
+    obs::HttpResponse response = JsonError(503, "server draining");
     Account(work.request, 503, "draining", 0, 0, 0, work.remote.trace_id,
             response.body.size());
-    Respond(conn_id, response);
+    Respond(conn_id, std::move(response));
     return;
   }
 
@@ -338,12 +338,12 @@ void Server::OnRequest(uint64_t conn_id, obs::HttpRequest&& http) {
   work.enqueued_ns = now_ns;
   work.request.http = std::move(http);
   if (work.route == nullptr) {
-    const obs::HttpResponse response =
+    obs::HttpResponse response =
         path_known ? JsonError(405, "method not allowed")
                    : JsonError(404, "not found");
     Account(work.request, response.status, "", 0, 0, 0, work.remote.trace_id,
             response.body.size());
-    Respond(conn_id, response);
+    Respond(conn_id, std::move(response));
     return;
   }
 
@@ -425,7 +425,7 @@ void Server::WorkerLoop() {
               done_ns - now_ns, scope.trace_id(), work.remote.trace_id,
               response.body.size());
     }
-    Respond(work.conn_id, response);
+    Respond(work.conn_id, std::move(response));
 
     {
       std::lock_guard<std::mutex> lock(mu_);

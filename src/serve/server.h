@@ -166,7 +166,9 @@ class Server {
 
   void OnRequest(uint64_t conn_id, obs::HttpRequest&& http);
   void WorkerLoop();
-  void Respond(uint64_t conn_id, const obs::HttpResponse& response);
+  /// Counts the response by status class and hands it (body moved, never
+  /// copied) to the loop for writeout.
+  void Respond(uint64_t conn_id, obs::HttpResponse response);
   /// One request-log line + SLO outcome for any terminal response path.
   void Account(const Request& request, int status, std::string_view shed_reason,
                uint64_t queue_nanos, uint64_t handler_nanos, uint64_t trace_id,

@@ -1,9 +1,10 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
-#include <unordered_set>
 
+#include "linkage/sketch_matchers.h"
 #include "obs/clock.h"
 #include "obs/spans.h"
 
@@ -61,20 +62,77 @@ bool ParseDistance(std::string_view text, KeyDistanceKind* kind) {
   return true;
 }
 
+/// Reads optional typed members of a request object. An absent member
+/// keeps the caller's default; the first member present with the wrong type
+/// or range is kept as an InvalidArgument status (the caller answers 400)
+/// and every later read is skipped.
+class FieldReader {
+ public:
+  explicit FieldReader(const Json& object) : object_(object) {}
+
+  void Read(std::string_view key, std::string* out) {
+    const Json* value = Present(key);
+    if (value == nullptr) return;
+    if (!value->is_string()) return Fail(key, "a string");
+    *out = value->string_value();
+  }
+
+  /// Any number (Parse already rejects the ones that overflow to inf).
+  void Read(std::string_view key, double* out) {
+    const Json* value = Present(key);
+    if (value == nullptr) return;
+    if (!value->is_number()) return Fail(key, "a number");
+    *out = value->number_value();
+  }
+
+  /// An integer in [0, 2^53], the range a double holds exactly.
+  void Read(std::string_view key, uint64_t* out) {
+    const Json* value = Present(key);
+    if (value == nullptr) return;
+    const double d = value->is_number() ? value->number_value() : -1;
+    if (d < 0 || d != std::floor(d) || d > 9007199254740992.0) {
+      return Fail(key, "a non-negative integer");
+    }
+    *out = static_cast<uint64_t>(d);
+  }
+
+  void Read(std::string_view key, bool* out) {
+    const Json* value = Present(key);
+    if (value == nullptr) return;
+    if (!value->is_bool()) return Fail(key, "true or false");
+    *out = value->bool_value();
+  }
+
+  const Status& status() const { return status_; }
+
+ private:
+  const Json* Present(std::string_view key) const {
+    return status_.ok() ? object_.Find(key) : nullptr;
+  }
+  void Fail(std::string_view key, const char* expected) {
+    status_ = Status::InvalidArgument(std::string(key) + " must be " +
+                                      expected);
+  }
+
+  const Json& object_;
+  Status status_;
+};
+
 /// Parses one {"id":..,"entity_id":..,"fields":[..]} object.
 /// `require_id` is true for inserts (queries don't need one).
 Status RecordFromJson(const Json& json, bool require_id, Record* record) {
   if (!json.is_object()) return Status::InvalidArgument("record not an object");
-  const Json* id = json.Find("id");
-  if (id != nullptr) {
-    if (!id->is_number() || id->number_value() < 0) {
-      return Status::InvalidArgument("record id must be a non-negative number");
-    }
-    record->id = static_cast<RecordId>(id->number_value());
-  } else if (require_id) {
+  if (require_id && json.Find("id") == nullptr) {
     return Status::InvalidArgument("record missing id");
   }
-  record->entity_id = json.GetUint("entity_id", 0);
+  FieldReader reader(json);
+  uint64_t id = record->id;
+  uint64_t entity_id = 0;
+  reader.Read("id", &id);
+  reader.Read("entity_id", &entity_id);
+  SKETCHLINK_RETURN_IF_ERROR(reader.status());
+  record->id = id;
+  record->entity_id = entity_id;
   const Json* fields = json.Find("fields");
   if (fields == nullptr || !fields->is_array() ||
       fields->array_items().empty()) {
@@ -185,25 +243,39 @@ obs::HttpResponse LinkageService::CreateIndex(const Server::Request& request) {
     config = std::move(parsed).value();
   }
 
+  std::string kind_text = "ncvr";
+  std::string distance = "jw";
+  uint64_t lambda = 3;
+  uint64_t mu = 10'000;
+  uint64_t stripes = ShardedSBlockSketch::kDefaultStripes;
+  double delta = 0.1;
+  double theta = 0.25;
+  double threshold = 0.75;
+  FieldReader reader(config);
+  reader.Read("kind", &kind_text);
+  reader.Read("lambda", &lambda);
+  reader.Read("delta", &delta);
+  reader.Read("theta", &theta);
+  reader.Read("mu", &mu);
+  reader.Read("distance", &distance);
+  reader.Read("stripes", &stripes);
+  reader.Read("threshold", &threshold);
+  if (!reader.status().ok()) {
+    return ErrorResponse(400, reader.status().message());
+  }
   datagen::DatasetKind kind = datagen::DatasetKind::kNcvr;
-  const std::string kind_text = config.GetString("kind", "ncvr");
   if (!ParseKind(kind_text, &kind)) {
     return ErrorResponse(400, "unknown kind (expected ncvr|dblp|lab)");
   }
 
   SBlockSketchOptions sketch_options;
-  sketch_options.sketch.lambda =
-      static_cast<size_t>(config.GetUint("lambda", 3));
-  sketch_options.sketch.delta = config.GetNumber("delta", 0.1);
-  sketch_options.sketch.theta = config.GetNumber("theta", 0.25);
-  sketch_options.mu = static_cast<size_t>(config.GetUint("mu", 10'000));
-  const std::string distance = config.GetString("distance", "jw");
+  sketch_options.sketch.lambda = static_cast<size_t>(lambda);
+  sketch_options.sketch.delta = delta;
+  sketch_options.sketch.theta = theta;
+  sketch_options.mu = static_cast<size_t>(mu);
   if (!ParseDistance(distance, &sketch_options.sketch.distance_kind)) {
     return ErrorResponse(400, "unknown distance (expected jw|qgram|lev)");
   }
-  const size_t stripes = static_cast<size_t>(
-      config.GetUint("stripes", ShardedSBlockSketch::kDefaultStripes));
-  const double threshold = config.GetNumber("threshold", 0.75);
   if (sketch_options.sketch.lambda == 0 || sketch_options.mu == 0 ||
       stripes == 0 || stripes > 256 ||
       sketch_options.sketch.delta <= 0 || sketch_options.sketch.delta >= 1 ||
@@ -336,13 +408,14 @@ obs::HttpResponse LinkageService::InsertRecords(
     ++inserted;
   }
   index->inserts.fetch_add(inserted, std::memory_order_relaxed);
-  if (index->latency) index->latency->Record(obs::SteadyNowNanos() - start_ns);
 
   Json body = Json::Object();
   body.Set("index", Json::Str(index->name));
   body.Set("inserted", Json::Int(inserted));
   body.Set("records", Json::Int(index->store.size()));
-  return JsonResponse(200, body);
+  obs::HttpResponse response = JsonResponse(200, body);
+  if (index->latency) index->latency->Record(obs::SteadyNowNanos() - start_ns);
+  return response;
 }
 
 obs::HttpResponse LinkageService::Query(const Server::Request& request) {
@@ -367,73 +440,94 @@ obs::HttpResponse LinkageService::Query(const Server::Request& request) {
     return ErrorResponse(400, "query record needs at least " +
                                   std::to_string(required_fields) + " fields");
   }
-  const bool verify = parsed.value().GetBool("verify", true);
-  const uint64_t limit = parsed.value().GetUint("limit", 0);
+  bool verify = true;
+  uint64_t limit = 0;
+  FieldReader reader(parsed.value());
+  reader.Read("verify", &verify);
+  reader.Read("limit", &limit);
+  if (!reader.status().ok()) {
+    return ErrorResponse(400, reader.status().message());
+  }
 
+  // One warm set of buffers per server worker: past JSON parse and the
+  // response body, a steady-state query allocates nothing.
+  thread_local KeyScratch keys;
+  thread_local QueryScratch scratch;
+  const Status resolved = Resolve(*index, query, verify, &keys, &scratch);
+  if (!resolved.ok()) {
+    // Records are stored before they are routed and never removed, so a
+    // routed id the store cannot produce is a server fault.
+    return ErrorResponse(500, std::string(resolved.message()));
+  }
+  index->queries.fetch_add(1, std::memory_order_relaxed);
+
+  // The body is written straight into the response with the helpers
+  // Json::Dump is built on, so it is byte for byte what dumping the
+  // equivalent Json tree produces.
+  const size_t shown = verify ? scratch.scored.size()
+                              : scratch.candidates.size();
+  const size_t count = limit != 0 ? std::min<size_t>(limit, shown) : shown;
+  obs::HttpResponse response;
+  response.status = 200;
+  response.content_type = "application/json";
+  std::string& out = response.body;
+  out.reserve(96 + index->name.size() + count * (verify ? 40 : 16));
+  out += "{\"index\":";
+  AppendJsonString(index->name, &out);
+  out += ",\"num_candidates\":";
+  AppendJsonNumber(static_cast<double>(scratch.candidates.size()), &out);
+  out += verify ? ",\"verified\":true,\"matches\":["
+                : ",\"verified\":false,\"matches\":[";
+  for (size_t i = 0; i < count; ++i) {
+    if (i != 0) out += ',';
+    out += "{\"id\":";
+    if (verify) {
+      AppendJsonNumber(static_cast<double>(scratch.scored[i].id), &out);
+      out += ",\"score\":";
+      AppendJsonNumber(scratch.scored[i].score, &out);
+    } else {
+      AppendJsonNumber(static_cast<double>(scratch.candidates[i]), &out);
+    }
+    out += '}';
+  }
+  out += "]}\n";
+  if (index->latency) index->latency->Record(obs::SteadyNowNanos() - start_ns);
+  return response;
+}
+
+Status LinkageService::ResolveQuery(std::string_view index_name,
+                                    const Record& query, bool verify,
+                                    KeyScratch* keys,
+                                    QueryScratch* scratch) const {
+  const std::shared_ptr<Index> index = FindIndex(index_name);
+  if (index == nullptr) return Status::NotFound("no such index");
+  return Resolve(*index, query, verify, keys, scratch);
+}
+
+Status LinkageService::Resolve(const Index& index, const Record& query,
+                               bool verify, KeyScratch* keys,
+                               QueryScratch* scratch) {
   // Candidate retrieval + verification run under an "engine" child span so
   // the API path traces as serve -> engine -> sketch, mirroring the CLI
   // resolve path.
   obs::Span engine_span("engine", "query");
-
-  // Candidate retrieval: lock-free reads against every blocking key.
-  const std::string key_values = index->blocker->KeyValues(query);
-  std::vector<RecordId> candidate_ids;
-  std::unordered_set<RecordId> seen;
-  for (const std::string& key : index->blocker->Keys(query)) {
-    Result<CandidateList> candidates =
-        index->sketch->Candidates(key, key_values);
-    if (!candidates.ok()) {
-      return ErrorResponse(500, std::string(candidates.status().message()));
-    }
-    for (const RecordId id : candidates.value()) {
-      if (seen.insert(id).second) candidate_ids.push_back(id);
-    }
+  index.blocker->ExtractKeys(query, keys);
+  Status status = CollectCandidates(*index.sketch, *keys, &scratch->groups);
+  if (status.ok()) {
+    status = ResolveCandidates(query, scratch->groups, verify,
+                               *index.similarity, index.store, scratch);
   }
-  index->queries.fetch_add(1, std::memory_order_relaxed);
-
-  Json matches = Json::Array();
-  if (verify) {
-    // Verified mode: fetch each candidate and score it; matches are the
-    // candidates at or above the index threshold, best first.
-    SimilarityScorer scorer(*index->similarity, query);
-    std::vector<std::pair<double, RecordId>> scored;
-    for (const RecordId id : candidate_ids) {
-      Result<Record> candidate = index->store.Get(id);
-      if (!candidate.ok()) continue;  // id routed but record vanished
-      const double score = scorer.Similarity(candidate.value());
-      if (score >= index->threshold) scored.emplace_back(score, id);
-    }
-    std::sort(scored.begin(), scored.end(),
-              [](const auto& a, const auto& b) {
-                return a.first > b.first ||
-                       (a.first == b.first && a.second < b.second);
-              });
-    if (limit != 0 && scored.size() > limit) scored.resize(limit);
-    for (const auto& [score, id] : scored) {
-      Json match = Json::Object();
-      match.Set("id", Json::Int(id));
-      match.Set("score", Json::Number(score));
-      matches.Append(std::move(match));
-    }
-  } else {
-    size_t count = 0;
-    for (const RecordId id : candidate_ids) {
-      if (limit != 0 && count >= limit) break;
-      Json match = Json::Object();
-      match.Set("id", Json::Int(id));
-      matches.Append(std::move(match));
-      ++count;
-    }
-  }
-
-  if (index->latency) index->latency->Record(obs::SteadyNowNanos() - start_ns);
-
-  Json body = Json::Object();
-  body.Set("index", Json::Str(index->name));
-  body.Set("num_candidates", Json::Int(candidate_ids.size()));
-  body.Set("verified", Json::Bool(verify));
-  body.Set("matches", std::move(matches));
-  return JsonResponse(200, body);
+  // Unpin before returning: a CandidateList holds its PublishedBlock, and
+  // the scratch outlives the request on its worker, where an idle pin would
+  // keep a deleted tenant's blocks alive.
+  scratch->groups.clear();
+  SKETCHLINK_RETURN_IF_ERROR(status);
+  // Best first; equal scores by ascending id.
+  std::sort(scratch->scored.begin(), scratch->scored.end(),
+            [](const ScoredMatch& a, const ScoredMatch& b) {
+              return a.score > b.score || (a.score == b.score && a.id < b.id);
+            });
+  return Status::OK();
 }
 
 obs::HttpResponse LinkageService::ListIndexes(const Server::Request&) {

@@ -34,6 +34,7 @@
 #include "core/sharded_sketch.h"
 #include "datagen/generators.h"
 #include "kv/db.h"
+#include "linkage/matcher.h"
 #include "linkage/record_store.h"
 #include "linkage/similarity.h"
 #include "obs/metric_family.h"
@@ -76,6 +77,18 @@ class LinkageService {
 
   size_t num_indexes() const;
 
+  /// Query's work between request parse and response write, on the named
+  /// index: blocking keys into `keys`, then the engine's verified-query
+  /// routine (ResolveCandidates) into `scratch`, whose `candidates` hold
+  /// the deduplicated candidates and, when `verify`, whose `scored` holds
+  /// the matches ranked best first (equal scores by ascending id). No
+  /// candidate pins remain in `scratch` afterwards. NotFound for an unknown
+  /// index. Allocation-free once both scratches are warm; public so tests
+  /// can check that.
+  Status ResolveQuery(std::string_view index, const Record& query,
+                      bool verify, KeyScratch* keys,
+                      QueryScratch* scratch) const;
+
   /// Attributes one shed to the named tenant's shed family (no-op for an
   /// unknown index or reason). Wire as Server::Options::shed_observer.
   void ObserveShed(std::string_view index, std::string_view reason);
@@ -117,6 +130,10 @@ class LinkageService {
   };
 
   std::shared_ptr<Index> FindIndex(std::string_view name) const;
+
+  /// ResolveQuery on an index already looked up.
+  static Status Resolve(const Index& index, const Record& query, bool verify,
+                        KeyScratch* keys, QueryScratch* scratch);
 
   Options options_;
   // Per-tenant metric families, bounded by max_indexes (+1 for the shared

@@ -1,10 +1,42 @@
 #include "text/normalize.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cmath>
 
 namespace sketchlink::text {
+
+namespace {
+
+// What NormalizeFieldTo does with each byte: kSpace for the bytes
+// std::isspace accepts, kDrop for those whose std::toupper form falls
+// outside [A-Z0-9'-], otherwise that form. These are the "C" locale's
+// classes, the locale every binary here runs in (nothing calls setlocale);
+// the table saves two locale-indirected calls per byte.
+constexpr char kDrop = 0;
+constexpr char kSpace = 1;
+
+constexpr std::array<char, 256> MakeFoldTable() {
+  std::array<char, 256> table{};
+  for (int c = 0; c < 256; ++c) {
+    char folded = kDrop;
+    if (c == ' ' || (c >= '\t' && c <= '\r')) {
+      folded = kSpace;
+    } else if (c >= 'a' && c <= 'z') {
+      folded = static_cast<char>(c - 'a' + 'A');
+    } else if ((c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
+               c == '\'' || c == '-') {
+      folded = static_cast<char>(c);
+    }
+    table[c] = folded;
+  }
+  return table;
+}
+
+constexpr std::array<char, 256> kFold = MakeFoldTable();
+
+}  // namespace
 
 std::string ToUpperAscii(std::string_view s) {
   std::string out(s);
@@ -40,23 +72,22 @@ std::string NormalizeField(std::string_view s) {
 }
 
 void NormalizeFieldTo(std::string_view s, std::string* out) {
+  // No Trim pass: leading whitespace never arms the pending space (nothing
+  // is emitted yet) and trailing whitespace never flushes it.
   const size_t base = out->size();
   bool pending_space = false;
-  for (char raw : Trim(s)) {
-    unsigned char c = static_cast<unsigned char>(raw);
-    if (std::isspace(c)) {
+  for (const char raw : s) {
+    const char folded = kFold[static_cast<unsigned char>(raw)];
+    if (folded == kSpace) {
       pending_space = out->size() > base;
       continue;
     }
-    char up = static_cast<char>(std::toupper(c));
-    const bool keep = (up >= 'A' && up <= 'Z') || (up >= '0' && up <= '9') ||
-                      up == '\'' || up == '-';
-    if (!keep) continue;
+    if (folded == kDrop) continue;
     if (pending_space) {
       out->push_back(' ');
       pending_space = false;
     }
-    out->push_back(up);
+    out->push_back(folded);
   }
 }
 

@@ -18,7 +18,9 @@ std::string_view Trim(std::string_view s);
 /// Canonical field normalization applied before blocking and matching:
 /// trim, uppercase, collapse runs of whitespace to single spaces, and drop
 /// characters outside [A-Z0-9 '-]. Mirrors the preprocessing every record
-/// linkage pipeline applies before key generation.
+/// linkage pipeline applies before key generation. Whitespace and case are
+/// the "C" locale's (std::isspace / std::toupper there), whatever the
+/// process locale.
 std::string NormalizeField(std::string_view s);
 
 /// Appends NormalizeField(s) to `*out` without a temporary string, so a

@@ -1,6 +1,8 @@
 #include "obs/registry.h"
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -279,6 +281,61 @@ TEST(MetricRegistryTest, ConcurrentRegisterUpdateSnapshotUnregister) {
   EXPECT_EQ(registry.num_metrics(), 2u);  // all churn registrations dropped
   EXPECT_EQ(registry.trace_ring()->total_recorded(),
             static_cast<uint64_t>(kThreads) * kIterations);
+}
+
+TEST(MetricRegistryTest, BackToBackSnapshotsDoNotStarveRegistration) {
+  // A scraper relocks the registry right after it unlocks, before a waiter
+  // woken by that unlock can run. Registration must still get its turn
+  // behind the snapshots already waiting, not behind every later one.
+  MetricRegistry registry;
+  // Callback gauges that take a while to read keep each snapshot holding
+  // the lock, while the snapshot stays small enough that the scraper
+  // relocks within a microsecond or two of unlocking.
+  constexpr int kSlowGauges = 10;
+  std::vector<Registration> keep;
+  for (int i = 0; i < kSlowGauges; ++i) {
+    keep.push_back(registry.AddCallbackGauge(
+        MetricId("slow_gauge", "Slow read",
+                 {{"instance", std::to_string(i)}}),
+        [] {
+          const auto until =
+              std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+          while (std::chrono::steady_clock::now() < until) {
+          }
+          return 1.0;
+        }));
+  }
+
+  std::atomic<bool> stop{false};
+  std::thread scraper([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      registry.TakeSnapshot();
+    }
+  });
+
+  constexpr int kRegistrations = 1000;
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread registrar([&] {
+    Counter own;
+    for (int i = 0; i < kRegistrations; ++i) {
+      Registration churn =
+          registry.AddCounter(MetricId("churn_total", "Churn"), &own);
+    }
+    done.set_value();
+  });
+  const bool in_time = finished.wait_for(std::chrono::seconds(10)) ==
+                       std::future_status::ready;
+  // Stopping the scraper also frees a starved registrar, so a failure ends
+  // the test instead of hanging it.
+  stop.store(true, std::memory_order_relaxed);
+  registrar.join();
+  scraper.join();
+
+  EXPECT_TRUE(in_time) << kRegistrations
+                       << " registrations did not finish in 10 s beside "
+                          "back-to-back snapshots";
+  EXPECT_EQ(registry.num_metrics(), static_cast<size_t>(kSlowGauges));
 }
 
 }  // namespace

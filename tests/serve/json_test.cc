@@ -1,11 +1,40 @@
 #include "serve/json.h"
 
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <ios>
+#include <limits>
 #include <string>
+#include <vector>
 
+#include "common/random.h"
 #include "gtest/gtest.h"
 
 namespace sketchlink::serve {
 namespace {
+
+// The snprintf/strtod number printer that AppendJsonNumber replaced, kept
+// as the reference its output must match byte for byte.
+std::string ReferenceNumber(double number) {
+  if (number >= 0 && number <= 9007199254740992.0 &&
+      number == std::floor(number)) {
+    return std::to_string(static_cast<uint64_t>(number));
+  }
+  char buf[32];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, number);
+    if (std::strtod(buf, nullptr) == number) break;
+  }
+  return buf;
+}
+
+double FromBits(uint64_t bits) {
+  double value;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
 
 TEST(JsonParseTest, Scalars) {
   EXPECT_TRUE(Json::Parse("null").value().is_null());
@@ -42,7 +71,8 @@ TEST(JsonParseTest, MalformedInputsAreInvalidArgument) {
   // zeros — strictness there buys nothing for this plane.)
   for (const char* bad :
        {"", "{", "[1,", "{\"a\":}", "{\"a\" 1}", "tru", "\"unterminated",
-        "1.2.3", "{\"a\":1} trailing", "[1 2]", "nul"}) {
+        "1.2.3", "{\"a\":1} trailing", "[1 2]", "nul", "1e999", "-1e999",
+        "{\"theta\":1e999}", "[2e308]"}) {
     EXPECT_FALSE(Json::Parse(bad).ok()) << bad;
   }
 }
@@ -81,8 +111,49 @@ TEST(JsonDumpTest, NumbersUseShortestRoundTrip) {
       awkward);
 }
 
+TEST(JsonDumpTest, NumberPrintingMatchesSnprintfReference) {
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> values = {
+      0.0, -0.0, 9007199254740992.0, 9007199254740994.0, 1e-5, 1e21, 0.1,
+      0.8, 1.0 / 3.0, 0.1 + 0.2, -1.5, Limits::max(), -Limits::max(),
+      Limits::min(), Limits::denorm_min(), Limits::min() / 3,
+      -Limits::denorm_min(), Limits::infinity(), -Limits::infinity(),
+      Limits::quiet_NaN(), -Limits::quiet_NaN()};
+  for (int exp = -1074; exp <= 1023; ++exp) {
+    values.push_back(std::ldexp(1.0, exp));
+    values.push_back(-std::ldexp(1.0, exp));
+  }
+  Rng rng(0xd0b1e);
+  for (int i = 0; i < 600'000; ++i) {
+    values.push_back(FromBits(rng.NextUint64()));  // every class, NaNs too
+  }
+  for (int i = 0; i < 400'000; ++i) {
+    switch (i % 4) {
+      case 0: values.push_back(rng.NextDouble()); break;  // scores
+      case 1: values.push_back(rng.UniformIndex(1001) / 1000.0); break;
+      case 2:
+        values.push_back(static_cast<double>(rng.UniformUint64(1ull << 54)));
+        break;
+      default:
+        values.push_back(std::ldexp(rng.NextDouble() - 0.5,
+                                    static_cast<int>(rng.UniformIndex(200)) -
+                                        100));
+    }
+  }
+  std::string out;
+  for (const double value : values) {
+    out.clear();
+    AppendJsonNumber(value, &out);
+    ASSERT_EQ(out, ReferenceNumber(value)) << std::hexfloat << value;
+  }
+  EXPECT_EQ(Json::Number(Limits::infinity()).Dump(), "inf");
+  EXPECT_EQ(Json::Number(-Limits::quiet_NaN()).Dump(), "-nan");
+}
+
 TEST(JsonDumpTest, ControlCharactersAreEscaped) {
   EXPECT_EQ(Json::Str("a\001b\nc").Dump(), "\"a\\u0001b\\nc\"");
+  EXPECT_EQ(Json::Str("\x1f\"\\\b\f\r\t/").Dump(),
+            "\"\\u001f\\\"\\\\\\b\\f\\r\\t/\"");
 }
 
 TEST(JsonAccessorsTest, TypedFallbacks) {

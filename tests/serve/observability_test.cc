@@ -2,6 +2,7 @@
 // socket, client-side auto-injection, structured request logging, and the
 // per-tenant labeled-metric lifecycle under concurrent scrapes.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/clock.h"
 #include "obs/registry.h"
 #include "obs/request_log.h"
 #include "obs/spans.h"
@@ -322,6 +324,64 @@ TEST_P(LabeledMetricLifecycleTest, CreateQueryDeleteUnderConcurrentScrape) {
 
 INSTANTIATE_TEST_SUITE_P(ScraperThreads, LabeledMetricLifecycleTest,
                          ::testing::Values(1, 2, 8));
+
+uint64_t TenantLatencySumNanos(obs::MetricRegistry* registry,
+                               const std::string& index) {
+  const obs::RegistrySnapshot snap = registry->TakeSnapshot();
+  for (const obs::MetricSnapshot& metric : snap.metrics) {
+    if (metric.id.name != "serve_index_request_latency_nanos") continue;
+    for (const auto& [key, value] : metric.id.labels) {
+      if (key == "index" && value == index) return metric.histogram.sum;
+    }
+  }
+  return 0;
+}
+
+TEST(ServeObservabilityTest, TenantLatencyCoversTheResponseBody) {
+  // serve_index_request_latency_nanos is the handler's latency, so the
+  // response body it returns must be built inside the timed span. A query
+  // returning thousands of matches makes body construction a large share
+  // of the call: the recorded latency must then cover nearly all of the
+  // call's wall time. The best of several calls is taken so a preemption
+  // between the handler's last clock read and its return cannot fail it.
+  const std::string scratch = ScratchDir();
+  std::filesystem::remove_all(scratch);
+  obs::MetricRegistry registry;
+  LinkageService::Options options;
+  options.scratch_dir = scratch;
+  options.registry = &registry;
+  LinkageService service(options);
+  ASSERT_EQ(service.CreateIndex(MakeRequest("wide", "{}")).status, 201);
+  for (int batch = 0; batch < 3; ++batch) {
+    std::string body = R"({"records":[)";
+    for (int i = 0; i < 1000; ++i) {
+      if (i != 0) body += ',';
+      body += R"({"id":)" + std::to_string(batch * 1000 + i + 1) +
+              R"(,"fields":["ALICE","SMITH","RALEIGH","27601","F","1980"]})";
+    }
+    body += "]}";
+    ASSERT_EQ(service.InsertRecords(MakeRequest("wide", body)).status, 200);
+  }
+  const Server::Request query = MakeRequest(
+      "wide",
+      R"({"record":{"fields":["ALICE","SMITH","RALEIGH","27601","F","1980"]},
+          "verify":false})");
+  double best_share = 0;
+  for (int call = 0; call < 8; ++call) {
+    const uint64_t recorded_before = TenantLatencySumNanos(&registry, "wide");
+    const uint64_t start = obs::SteadyNowNanos();
+    const obs::HttpResponse response = service.Query(query);
+    const uint64_t wall = obs::SteadyNowNanos() - start;
+    ASSERT_EQ(response.status, 200);
+    ASSERT_GT(response.body.size(), 3000u * 10) << "too few matches";
+    const uint64_t recorded =
+        TenantLatencySumNanos(&registry, "wide") - recorded_before;
+    best_share = std::max(best_share, static_cast<double>(recorded) / wall);
+  }
+  EXPECT_GT(best_share, 0.9)
+      << "the per-tenant latency leaves out part of the handler";
+  std::filesystem::remove_all(scratch);
+}
 
 TEST(ServeObservabilityTest, TwoLiveTenantsExportDisjointSeries) {
   const std::string scratch = ScratchDir();

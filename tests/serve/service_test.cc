@@ -1,9 +1,17 @@
 #include "serve/service.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
+#include "blocking/presets.h"
+#include "datagen/generators.h"
 #include "gtest/gtest.h"
+#include "kv/db.h"
+#include "linkage/engine.h"
+#include "linkage/sketch_matchers.h"
 #include "serve/json.h"
 
 namespace sketchlink::serve {
@@ -15,6 +23,53 @@ Server::Request MakeRequest(std::string name = "", std::string body = "") {
   request.http.body = std::move(body);
   return request;
 }
+
+Json RecordToJson(const Record& record, bool with_ids) {
+  Json json = Json::Object();
+  if (with_ids) {
+    json.Set("id", Json::Int(record.id));
+    json.Set("entity_id", Json::Int(record.entity_id));
+  }
+  Json fields = Json::Array();
+  for (const std::string& field : record.fields) {
+    fields.Append(Json::Str(field));
+  }
+  json.Set("fields", std::move(fields));
+  return json;
+}
+
+/// One SBlockSketch engine configured as CreateIndex configures an index
+/// with an empty config body, over its own record store and spill db.
+class ReferenceEngine {
+ public:
+  ReferenceEngine(const std::string& dir, ResolveMode mode)
+      : blocker_(MakeStandardBlocker(datagen::DatasetKind::kNcvr)),
+        similarity_(MatchFieldsFor(datagen::DatasetKind::kNcvr), 0.75) {
+    std::filesystem::create_directories(dir);
+    db_ = std::move(kv::Db::Open(dir)).value();
+    SBlockSketchOptions options;
+    options.sketch.lambda = 3;
+    options.sketch.delta = 0.1;
+    options.sketch.theta = 0.25;
+    options.sketch.distance_kind = KeyDistanceKind::kJaroWinkler;
+    options.mu = 10'000;
+    matcher_ = std::make_unique<SBlockSketchMatcher>(
+        options, db_.get(), similarity_, &store_, mode);
+    engine_ = std::make_unique<LinkageEngine>(blocker_.get(), matcher_.get(),
+                                              similarity_);
+  }
+
+  LinkageEngine& engine() { return *engine_; }
+  const RecordSimilarity& similarity() const { return similarity_; }
+
+ private:
+  std::unique_ptr<StandardBlocker> blocker_;
+  RecordSimilarity similarity_;
+  std::unique_ptr<kv::Db> db_;
+  RecordStore store_;
+  std::unique_ptr<SBlockSketchMatcher> matcher_;
+  std::unique_ptr<LinkageEngine> engine_;
+};
 
 class LinkageServiceTest : public ::testing::Test {
  protected:
@@ -80,6 +135,15 @@ TEST_F(LinkageServiceTest, CreateRejectsBadInput) {
   EXPECT_EQ(Create("x", R"({"lambda":0})").status, 400);
   EXPECT_EQ(Create("x", "{nope").status, 400);         // malformed JSON
   EXPECT_EQ(Create("x", "[1,2]").status, 400);         // not an object
+  // Present but mistyped or out of range: never a silent default.
+  EXPECT_EQ(Create("x", R"({"theta":1e999})").status, 400);
+  EXPECT_EQ(Create("x", R"({"mu":"64"})").status, 400);
+  EXPECT_EQ(Create("x", R"({"lambda":-2})").status, 400);
+  EXPECT_EQ(Create("x", R"({"lambda":2.5})").status, 400);
+  EXPECT_EQ(Create("x", R"({"stripes":1e300})").status, 400);
+  EXPECT_EQ(Create("x", R"({"threshold":"0.8"})").status, 400);
+  EXPECT_EQ(Create("x", R"({"kind":7})").status, 400);
+  EXPECT_EQ(Create("x", R"({"distance":null})").status, 400);
   EXPECT_EQ(service_->num_indexes(), 0u);              // nothing leaked
 }
 
@@ -179,6 +243,21 @@ TEST_F(LinkageServiceTest, InsertValidatesBatch) {
                         "v", R"({"records":[{"id":1,"fields":["only"]}]})"))
                 .status,
             400);
+  // Ids and entity ids are non-negative integers, never truncated.
+  for (const char* bad :
+       {R"({"records":[{"id":1.5,"fields":["A","B","C","D","E","F"]}]})",
+        R"({"records":[{"id":-1,"fields":["A","B","C","D","E","F"]}]})",
+        R"({"records":[{"id":1,"entity_id":"7",
+                        "fields":["A","B","C","D","E","F"]}]})"}) {
+    EXPECT_EQ(service_->InsertRecords(MakeRequest("v", bad)).status, 400)
+        << bad;
+  }
+  EXPECT_EQ(Json::Parse(service_->ListIndexes(MakeRequest()).body)
+                .value()
+                .Find("indexes")
+                ->array_items()[0]
+                .GetUint("records", 99),
+            0u);  // nothing stored
 }
 
 TEST_F(LinkageServiceTest, InsertEnforcesBatchCap) {
@@ -215,6 +294,105 @@ TEST_F(LinkageServiceTest, QueryValidatesBody) {
   EXPECT_EQ(
       service_->Query(MakeRequest("q", R"({"record":{"id":1}})")).status,
       400);  // no fields
+  const std::string record =
+      R"("record":{"fields":["ALICE","SMITH","RALEIGH","27601","F","1980"]})";
+  EXPECT_EQ(service_->Query(MakeRequest("q", "{" + record + "}")).status, 200);
+  for (const char* bad : {R"("verify":"false")", R"("verify":0)",
+                          R"("limit":-1)", R"("limit":1.5)",
+                          R"("limit":"3")"}) {
+    EXPECT_EQ(
+        service_->Query(MakeRequest("q", "{" + record + "," + bad + "}"))
+            .status,
+        400)
+        << bad;
+  }
+}
+
+TEST_F(LinkageServiceTest, QueriesMatchTheEngineOnTheSameInserts) {
+  datagen::WorkloadSpec spec;
+  spec.kind = datagen::DatasetKind::kNcvr;
+  spec.num_entities = 120;
+  spec.copies_per_entity = 6;
+  spec.max_perturb_ops = 3;
+  spec.seed = 7;
+  const datagen::Workload workload = datagen::MakeWorkload(spec);
+  const std::vector<Record>& data = workload.a.records();
+  std::unordered_map<RecordId, const Record*> by_id;
+  for (const Record& record : data) by_id[record.id] = &record;
+
+  ASSERT_EQ(Create("diff").status, 201);
+  for (size_t begin = 0; begin < data.size();
+       begin += options_.max_batch_records) {
+    Json list = Json::Array();
+    const size_t end =
+        std::min(data.size(), begin + options_.max_batch_records);
+    for (size_t i = begin; i < end; ++i) {
+      list.Append(RecordToJson(data[i], /*with_ids=*/true));
+    }
+    Json body = Json::Object();
+    body.Set("records", std::move(list));
+    ASSERT_EQ(service_->InsertRecords(MakeRequest("diff", body.Dump())).status,
+              200);
+  }
+  // The sub-block engine's result set is the deduplicated candidate set;
+  // the verified engine's is the candidates at or above the threshold.
+  ReferenceEngine sub_block(options_.scratch_dir + "/engine_sub_block",
+                            ResolveMode::kSubBlock);
+  ReferenceEngine verified(options_.scratch_dir + "/engine_verified",
+                           ResolveMode::kVerified);
+  ASSERT_TRUE(sub_block.engine().BuildIndex(workload.a).ok());
+  ASSERT_TRUE(verified.engine().BuildIndex(workload.a).ok());
+
+  size_t queries_with_matches = 0;
+  for (const Record& query : workload.q.records()) {
+    const std::vector<RecordId> candidates =
+        sub_block.engine().ResolveOne(query).value();
+    std::vector<std::pair<double, RecordId>> ranked;
+    const std::vector<RecordId> verified_ids =
+        verified.engine().ResolveOne(query).value();
+    for (const RecordId id : verified_ids) {
+      ranked.emplace_back(
+          verified.similarity().Similarity(query, *by_id.at(id)), id);
+    }
+    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+      return a.first > b.first || (a.first == b.first && a.second < b.second);
+    });
+    queries_with_matches += ranked.empty() ? 0 : 1;
+
+    for (const bool verify : {true, false}) {
+      for (const uint64_t limit : {0, 1, 3}) {
+        Json request = Json::Object();
+        request.Set("record", RecordToJson(query, /*with_ids=*/false));
+        request.Set("verify", Json::Bool(verify));
+        request.Set("limit", Json::Int(limit));
+        const obs::HttpResponse response =
+            service_->Query(MakeRequest("diff", request.Dump()));
+        ASSERT_EQ(response.status, 200) << response.body;
+
+        // The engine's answer, rendered through the Json tree the handler
+        // used to build: the bytes written in place must be identical.
+        Json matches = Json::Array();
+        const size_t shown = verify ? ranked.size() : candidates.size();
+        const size_t count = limit != 0 ? std::min<size_t>(limit, shown)
+                                        : shown;
+        for (size_t i = 0; i < count; ++i) {
+          Json match = Json::Object();
+          match.Set("id", Json::Int(verify ? ranked[i].second
+                                           : candidates[i]));
+          if (verify) match.Set("score", Json::Number(ranked[i].first));
+          matches.Append(std::move(match));
+        }
+        Json expected = Json::Object();
+        expected.Set("index", Json::Str("diff"));
+        expected.Set("num_candidates", Json::Int(candidates.size()));
+        expected.Set("verified", Json::Bool(verify));
+        expected.Set("matches", std::move(matches));
+        ASSERT_EQ(response.body, expected.Dump() + "\n")
+            << "verify=" << verify << " limit=" << limit;
+      }
+    }
+  }
+  EXPECT_GT(queries_with_matches, workload.q.size() / 2);
 }
 
 TEST_F(LinkageServiceTest, IndexesAreIsolated) {

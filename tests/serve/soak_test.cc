@@ -25,9 +25,13 @@ namespace {
 class ServeSoakTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    scratch_ =
-        (std::filesystem::temp_directory_path() / "sketchlink_soak_test")
-            .string();
+    // One root per test: ctest runs these as parallel processes, and a
+    // shared root lets one test's SetUp delete another's live spill dirs.
+    const std::string test_name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    scratch_ = (std::filesystem::temp_directory_path() /
+                ("sketchlink_soak_test_" + test_name))
+                   .string();
     std::filesystem::remove_all(scratch_);
 
     LinkageService::Options service_options;

@@ -1,9 +1,44 @@
 #include "text/normalize.h"
 
+#include <cctype>
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "common/random.h"
 
 namespace sketchlink::text {
 namespace {
+
+// The locale-calling normalizer the byte table replaced, kept as the
+// reference: std::isspace / std::toupper in the process locale, which is
+// "C" since nothing calls setlocale.
+std::string ReferenceNormalize(std::string_view s) {
+  const auto space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  while (!s.empty() && space(s.front())) s.remove_prefix(1);
+  while (!s.empty() && space(s.back())) s.remove_suffix(1);
+  std::string out;
+  bool pending_space = false;
+  for (const char raw : s) {
+    if (space(raw)) {
+      pending_space = !out.empty();
+      continue;
+    }
+    const char up =
+        static_cast<char>(std::toupper(static_cast<unsigned char>(raw)));
+    const bool keep = (up >= 'A' && up <= 'Z') || (up >= '0' && up <= '9') ||
+                      up == '\'' || up == '-';
+    if (!keep) continue;
+    if (pending_space) {
+      out.push_back(' ');
+      pending_space = false;
+    }
+    out.push_back(up);
+  }
+  return out;
+}
 
 TEST(NormalizeTest, UpperAndLower) {
   EXPECT_EQ(ToUpperAscii("Hello World"), "HELLO WORLD");
@@ -32,6 +67,39 @@ TEST(NormalizeFieldTest, DropsNoiseCharacters) {
 
 TEST(NormalizeFieldTest, KeepsDigits) {
   EXPECT_EQ(NormalizeField("123 Main St."), "123 MAIN ST");
+}
+
+TEST(NormalizeFieldTest, MatchesLocaleReferenceOnEveryByte) {
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    for (const std::string& input :
+         {std::string(1, c), "a" + std::string(1, c) + "b",
+          std::string(1, c) + "x" + std::string(2, c)}) {
+      EXPECT_EQ(NormalizeField(input), ReferenceNormalize(input))
+          << "byte " << b;
+    }
+  }
+}
+
+TEST(NormalizeFieldTest, MatchesLocaleReferenceOnRandomStrings) {
+  // Half the bytes come from a small alphabet of the interesting classes
+  // (whitespace runs, case, kept punctuation), half from all 256 values.
+  static constexpr char kAlphabet[] = " \t\n\v\f\razAZ09'-.,";
+  Rng rng(0x5eed);
+  std::string appended = "prefix";
+  for (int i = 0; i < 200'000; ++i) {
+    std::string input(rng.UniformIndex(24), '\0');
+    for (char& c : input) {
+      c = rng.UniformIndex(2) == 0
+              ? kAlphabet[rng.UniformIndex(sizeof(kAlphabet) - 1)]
+              : static_cast<char>(rng.UniformIndex(256));
+    }
+    const std::string expected = ReferenceNormalize(input);
+    ASSERT_EQ(NormalizeField(input), expected) << i;
+    appended.resize(6);
+    NormalizeFieldTo(input, &appended);
+    ASSERT_EQ(appended, "prefix" + expected) << i;
+  }
 }
 
 TEST(PrefixTest, ClampsToLength) {
