@@ -15,8 +15,6 @@
 // small absolute times.
 //
 // Flags: --threads N  --entities N  --copies N  --reps N
-//        --serve  expose /metrics /metrics.json /traces /healthz on an
-//                 ephemeral port while the bench runs (scrape a live run)
 
 #include <cstdio>
 #include <memory>
@@ -26,7 +24,6 @@
 #include "bench_json.h"
 #include "bench_util.h"
 #include "linkage/sketch_matchers.h"
-#include "obs/http_server.h"
 #include "obs/spans.h"
 
 namespace sketchlink::bench {
@@ -90,7 +87,7 @@ double OverheadPercent(double base_seconds, double variant_seconds) {
 void Run(int argc, char** argv) {
   const Flags flags(argc, argv,
                     {kThreadsFlag, {"--entities", "N"}, {"--copies", "N"},
-                     {"--reps", "N"}, {"--serve", ""}});
+                     {"--reps", "N"}});
   const size_t threads = flags.Threads();
   const size_t entities = flags.Size("--entities", 3000);
   const size_t copies = flags.Size("--copies", 12);
@@ -109,27 +106,13 @@ void Run(int argc, char** argv) {
   std::printf("threads: %zu, repetitions per variant: %d\n", threads,
               repetitions);
 
-  // Bench-lifetime registry and tracers so --serve can expose them while
-  // the measurement loop runs (the server needs them to outlive it).
+  // Bench-lifetime registry and tracers, shared by every dataset's variants.
   obs::MetricRegistry registry;
   obs::Tracer::Options off_options;
   off_options.sample_period = 0;
   obs::Tracer tracer_off(off_options);
   obs::Tracer tracer_default((obs::Tracer::Options()));
   const auto tracer_regs = tracer_default.RegisterMetrics(&registry, "traced");
-
-  std::unique_ptr<obs::HttpServer> server;
-  if (flags.Has("--serve")) {
-    server = std::make_unique<obs::HttpServer>(obs::HttpServer::Options());
-    obs::RegisterTelemetryHandlers(server.get(), &registry, &tracer_default);
-    const Status status = server->Start();
-    if (!status.ok()) {
-      std::fprintf(stderr, "--serve failed: %s\n", status.ToString().c_str());
-    } else {
-      std::printf("serving telemetry on http://127.0.0.1:%u\n",
-                  static_cast<unsigned>(server->port()));
-    }
-  }
 
   BenchJsonWriter json("obs_overhead", threads);
   std::printf("%8s %14s %14s %14s %14s\n", "dataset", "unobserved_s",
@@ -214,7 +197,6 @@ void Run(int argc, char** argv) {
       "metric write; latency timers sample 1 in %u operations).\n",
       1u << obs::kLatencySamplePeriodLog2);
   json.Finish();
-  if (server != nullptr) server->Stop();
 }
 
 }  // namespace

@@ -55,7 +55,6 @@ Result<std::unique_ptr<Db>> Db::Open(const std::string& path,
 
 void Db::RegisterMetrics(obs::Registry* registry, const std::string& instance) {
   if (registry == nullptr) return;
-  registry_ = registry;
   if (registry->enabled()) {
     std::lock_guard<std::mutex> lock(mutex_);
     metrics_.timing_enabled = true;
@@ -361,9 +360,7 @@ Status Db::FlushLocked() {
   metrics_.flush_bytes.Add(mem_.payload_bytes());
   mem_.Clear();
   metrics_.flushes.Inc();
-  const Status rotated = RotateWalLocked();
-  if (registry_ != nullptr) registry_->TraceSlow("kv", "flush", timer.Stop());
-  return rotated;
+  return RotateWalLocked();
 }
 
 Status Db::Compact(bool force) {
@@ -422,9 +419,6 @@ Status Db::CompactLocked(bool force) {
   }
   metrics_.compaction_bytes.Add(rewritten_bytes);
   metrics_.compactions.Inc();
-  if (registry_ != nullptr) {
-    registry_->TraceSlow("kv", "compact", timer.Stop());
-  }
   return Status::OK();
 }
 

@@ -182,7 +182,6 @@ class Db {
   std::vector<std::shared_ptr<Table>> tables_;
   uint64_t next_file_number_ = 1;
   mutable DbMetrics metrics_;
-  obs::Registry* registry_ = nullptr;  // for slow-op traces; may be null
   // Declared last: deregistration (whose closures read this Db) must run
   // before any other member is torn down.
   std::vector<obs::Registration> metric_registrations_;

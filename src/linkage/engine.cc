@@ -34,7 +34,6 @@ LinkageEngine::LinkageEngine(const Blocker* blocker, OnlineMatcher* matcher,
 
 void LinkageEngine::RegisterMetrics(obs::Registry* registry,
                                     const std::string& instance) {
-  registry_ = registry;
   metrics_.timing_enabled = registry->enabled();
   matcher_->RegisterMetrics(registry, instance);
   auto& regs = metric_registrations_;
@@ -140,11 +139,7 @@ Status LinkageEngine::BuildIndex(const Dataset& a) {
   metrics_.records_indexed.Add(records.size());
   if (metrics_.timing_enabled) {
     // Recorded from the Stopwatch the report needs anyway — no extra clock.
-    const uint64_t nanos = SecondsToNanos(seconds);
-    metrics_.build_duration_nanos.Record(nanos);
-    if (registry_ != nullptr) {
-      registry_->TraceSlow("engine", "build_index", nanos);
-    }
+    metrics_.build_duration_nanos.Record(SecondsToNanos(seconds));
   }
   return Status::OK();
 }
@@ -172,10 +167,6 @@ Status LinkageEngine::ResolveOneInto(const Record& query, KeyScratch* keys,
   Status status = matcher_->ResolveInto(query, *keys, scratch);
   if (!status.ok()) trace.MarkError();
   metrics_.queries_resolved.Inc();
-  const uint64_t nanos = timer.Stop();
-  if (registry_ != nullptr && nanos > 0) {
-    registry_->TraceSlow("engine", "query", nanos);
-  }
   return status;
 }
 

@@ -122,8 +122,7 @@ class LinkageEngine {
   std::unique_ptr<ThreadPool> pool_;  // null when running single-threaded
   double blocking_seconds_ = 0.0;
   mutable EngineMetrics metrics_;
-  obs::Registry* registry_ = nullptr;  // for slow-query traces; may be null
-  obs::Tracer* tracer_ = nullptr;      // span tracing; may be null
+  obs::Tracer* tracer_ = nullptr;  // span tracing; may be null
   // Declared last: deregistration (whose closures read this engine and its
   // pool) must run before the members they read are torn down.
   std::vector<obs::Registration> metric_registrations_;

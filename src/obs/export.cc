@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <set>
 
+#include "obs/build_info.h"
 #include "obs/json.h"
+#include "obs/url.h"
 
 namespace sketchlink::obs {
 
@@ -91,6 +93,12 @@ void EmitFamilyHeader(std::string* out, std::set<std::string>* seen,
   if (!seen->insert(name).second) return;
   if (!help.empty()) *out += "# HELP " + name + " " + EscapeHelp(help) + "\n";
   *out += "# TYPE " + name + " " + std::string(type) + "\n";
+}
+
+std::string FormatSeconds(double seconds) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3f", seconds);
+  return buf;
 }
 
 }  // namespace
@@ -196,24 +204,6 @@ std::string ExportJson(const RegistrySnapshot& snapshot) {
   return out;
 }
 
-std::string ExportTraceJson(const std::vector<TraceEvent>& events) {
-  std::string out = "[\n";
-  for (size_t i = 0; i < events.size(); ++i) {
-    JsonFields fields;
-    fields.Add("sequence", events[i].sequence);
-    fields.Add("category", events[i].category);
-    fields.Add("label", events[i].label);
-    fields.Add("start_steady_nanos", events[i].start_steady_nanos);
-    fields.Add("start_unix_micros", events[i].start_unix_micros);
-    fields.Add("duration_nanos", events[i].duration_nanos);
-    out += "  " + fields.ToJson();
-    if (i + 1 < events.size()) out += ",";
-    out += "\n";
-  }
-  out += "]\n";
-  return out;
-}
-
 std::string ExportChromeTraceJson(const std::vector<SpanRecord>& spans) {
   std::string out = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
   for (size_t i = 0; i < spans.size(); ++i) {
@@ -246,6 +236,73 @@ std::string ExportChromeTraceJson(const std::vector<SpanRecord>& spans) {
   }
   out += "]}\n";
   return out;
+}
+
+std::vector<std::pair<std::string, TelemetryHandler>> TelemetryHandlers(
+    Registry* registry, Tracer* tracer,
+    std::function<std::string()> statusz_extra) {
+  std::vector<std::pair<std::string, TelemetryHandler>> handlers;
+  handlers.emplace_back("/metrics", [registry](const HttpRequest&) {
+    HttpResponse response;
+    response.content_type = "text/plain; version=0.0.4; charset=utf-8";
+    response.body = ExportPrometheusText(registry->TakeSnapshot());
+    return response;
+  });
+  handlers.emplace_back("/metrics.json", [registry](const HttpRequest&) {
+    HttpResponse response;
+    response.content_type = "application/json";
+    response.body = ExportJson(registry->TakeSnapshot());
+    return response;
+  });
+  handlers.emplace_back("/traces", [tracer](const HttpRequest& request) {
+    HttpResponse response;
+    response.content_type = "application/json";
+    std::vector<SpanRecord> spans = tracer != nullptr
+                                        ? tracer->buffer().Snapshot()
+                                        : std::vector<SpanRecord>();
+    const uint64_t limit =
+        QueryParams::Parse(request.query).GetInt("limit", spans.size());
+    if (limit < spans.size()) spans.resize(limit);
+    response.body = ExportChromeTraceJson(spans);
+    return response;
+  });
+  // First line stays exactly "ok" so `curl /healthz | head -1` and every
+  // existing liveness probe keep working; the build/uptime lines let a
+  // scraper distinguish a restart from a counter bug.
+  handlers.emplace_back("/healthz", [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "ok\nbuild_id " + std::string(BuildId()) +
+                    "\nuptime_seconds " + FormatSeconds(UptimeSeconds()) +
+                    "\n";
+    return response;
+  });
+  handlers.emplace_back(
+      "/statusz", [registry, tracer, statusz_extra](const HttpRequest&) {
+        HttpResponse response;
+        std::string body = "sketchlink statusz\n";
+        body += "build_id: " + std::string(BuildId()) + "\n";
+        body += "start_time_unix_micros: " +
+                std::to_string(ProcessStartUnixMicros()) + "\n";
+        body += "uptime_seconds: " + FormatSeconds(UptimeSeconds()) + "\n";
+        if (registry != nullptr) {
+          body += "exported_metrics: " +
+                  std::to_string(registry->TakeSnapshot().metrics.size()) +
+                  "\n";
+        }
+        if (tracer != nullptr) {
+          body += "trace_buffer_spans: " +
+                  std::to_string(tracer->buffer().Snapshot().size()) + "\n";
+          body += "traces_kept: " +
+                  std::to_string(tracer->metrics().traces_kept.value()) + "\n";
+        }
+        if (statusz_extra) {
+          body += "\n";
+          body += statusz_extra();
+        }
+        response.body = std::move(body);
+        return response;
+      });
+  return handlers;
 }
 
 Status WriteFile(const std::string& path, const std::string& content) {

@@ -1,12 +1,12 @@
 #ifndef SKETCHLINK_OBS_HTTP_MESSAGE_H_
 #define SKETCHLINK_OBS_HTTP_MESSAGE_H_
 
-// HTTP/1.1 message plumbing shared by the two servers in the tree: the
-// serial telemetry scraper (obs::HttpServer) and the concurrent service
-// plane (serve::Server / serve::EventLoop). One request/response
-// representation, one incremental parser, one serializer, and poll-bounded
-// socket helpers — so request-body support, header handling, and slow-peer
-// timeouts behave identically no matter which server a connection hit.
+// HTTP/1.1 message plumbing for the tree's one HTTP stack: the server
+// (serve::Server / serve::EventLoop) and its client (serve::ClientConnection).
+// One request/response representation, one incremental parser, one
+// serializer, and poll-bounded socket helpers. The types live in obs
+// because the telemetry handlers (obs::TelemetryHandlers) take and return
+// them without depending on the serving plane.
 
 #include <cstdint>
 #include <string>

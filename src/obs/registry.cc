@@ -37,11 +37,6 @@ void Registration::Release() {
   }
 }
 
-MetricRegistry::MetricRegistry() : MetricRegistry(Options()) {}
-
-MetricRegistry::MetricRegistry(const Options& options)
-    : options_(options), trace_ring_(options.trace_capacity) {}
-
 Registration MetricRegistry::AddEntry(Entry entry) {
   // Sanitize identity at the door: an invalid metric or label name (spaces,
   // dashes, unicode) must never survive to the exposition output, and

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "obs/instruments.h"
-#include "obs/trace_ring.h"
 
 namespace sketchlink::obs {
 
@@ -158,12 +157,6 @@ class Registry {
 
   virtual RegistrySnapshot TakeSnapshot() const = 0;
 
-  /// Ring of recent slow operations; nullptr for NullRegistry.
-  virtual TraceRing* trace_ring() = 0;
-
-  /// Operations at least this long get a TraceSlow entry.
-  virtual uint64_t slow_op_threshold_nanos() const = 0;
-
   // Convenience wrappers over the *Fn primitives. The instrument must
   // outlive the returned Registration.
   Registration AddCounter(MetricId id, const Counter* counter) {
@@ -183,31 +176,12 @@ class Registry {
     return AddHistogramFn(std::move(id),
                           [histogram] { return histogram->Snapshot(); });
   }
-
-  /// Records `duration_nanos` into the trace ring when it crosses the
-  /// slow-op threshold. Call only from already-slow paths.
-  void TraceSlow(std::string_view category, std::string_view label,
-                 uint64_t duration_nanos) {
-    if (duration_nanos < slow_op_threshold_nanos()) return;
-    TraceRing* ring = trace_ring();
-    if (ring != nullptr) ring->Record(category, label, duration_nanos);
-  }
 };
 
-/// The real registry: thread-safe registration/deregistration, snapshots in
-/// registration order, and an embedded slow-op trace ring.
+/// The real registry: thread-safe registration/deregistration and snapshots
+/// in registration order.
 class MetricRegistry final : public Registry {
  public:
-  struct Options {
-    size_t trace_capacity = 256;
-    /// Default slow-op threshold: 20ms — an eternity next to the
-    /// microsecond-scale matching operations.
-    uint64_t slow_op_threshold_nanos = 20'000'000;
-  };
-
-  MetricRegistry();
-  explicit MetricRegistry(const Options& options);
-
   bool enabled() const override { return true; }
 
   Registration AddCounterFn(MetricId id,
@@ -217,11 +191,6 @@ class MetricRegistry final : public Registry {
                               std::function<HistogramSnapshot()> read) override;
 
   RegistrySnapshot TakeSnapshot() const override;
-
-  TraceRing* trace_ring() override { return &trace_ring_; }
-  uint64_t slow_op_threshold_nanos() const override {
-    return options_.slow_op_threshold_nanos;
-  }
 
   /// Currently registered metrics.
   size_t num_metrics() const;
@@ -241,8 +210,6 @@ class MetricRegistry final : public Registry {
   Registration AddEntry(Entry entry);
   void Unregister(uint64_t token);
 
-  Options options_;
-  TraceRing trace_ring_;
   mutable internal::FifoMutex mutex_;
   std::vector<Entry> entries_;  // guarded by mutex_, registration order
   uint64_t next_token_ = 1;     // guarded by mutex_
@@ -267,8 +234,6 @@ class NullRegistry final : public Registry {
     return Registration();
   }
   RegistrySnapshot TakeSnapshot() const override { return RegistrySnapshot(); }
-  TraceRing* trace_ring() override { return nullptr; }
-  uint64_t slow_op_threshold_nanos() const override { return UINT64_MAX; }
 };
 
 /// Process-wide default registry for callers that want one shared sink

@@ -99,8 +99,8 @@ struct TraceData {
 };
 
 /// Bounded ring of completed spans — the SpanBuffer the tail sampler feeds
-/// and /traces serves. Same concurrency contract as TraceRing (mutex taken
-/// only for already-sampled work, never on undecided hot paths); a full
+/// and /traces serves. Its mutex is taken only for already-sampled work,
+/// never on undecided hot paths; a full
 /// buffer overwrites the oldest spans, and `sequence`-style accounting is
 /// exposed via total_recorded() so consumers can detect loss between
 /// snapshots.

@@ -1,13 +1,14 @@
 #ifndef SKETCHLINK_OBS_URL_H_
 #define SKETCHLINK_OBS_URL_H_
 
-// Query-string parsing shared by the telemetry endpoints (obs::HttpServer)
-// and the service plane (serve::Server). HttpRequest::query holds the raw
-// text after '?'; QueryParams splits it into percent-decoded key/value
-// pairs with the usual tolerant semantics: empty pairs are skipped, a pair
-// without '=' is a flag with an empty value, duplicate keys are all kept
-// (first one wins for Get), and malformed percent escapes pass through
-// verbatim rather than failing the whole request.
+// Query-string parsing for request handlers on serve::Server: the
+// telemetry endpoints (/traces?limit=N) and `sketchlink_cli serve`'s
+// /resolve?i=N. HttpRequest::query holds the raw text after '?';
+// QueryParams splits it into percent-decoded key/value pairs with the usual
+// tolerant semantics: empty pairs are skipped, a pair without '=' is a flag
+// with an empty value, duplicate keys are all kept (first one wins for
+// Get), and malformed percent escapes pass through verbatim rather than
+// failing the whole request.
 
 #include <cstdint>
 #include <optional>

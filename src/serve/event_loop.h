@@ -3,8 +3,7 @@
 
 // Epoll reactor for the service plane: one loop thread multiplexing every
 // client connection, so a slow or stalled peer costs one idle entry in the
-// interest list instead of a wedged thread (the failure mode of the serial
-// telemetry scraper this replaces for serving).
+// interest list instead of a wedged thread.
 //
 // Responsibilities are split with serve::Server:
 //   - EventLoop owns sockets: accept, non-blocking reads through

@@ -211,6 +211,45 @@ Result<HttpResult> ClientConnection::RoundTrip(const std::string& method,
   return Status::Internal("unreachable");
 }
 
+Result<HttpUrl> ParseHttpUrl(std::string_view url) {
+  const auto invalid = [url](std::string_view why) {
+    return Status::InvalidArgument(std::string(why) + ": " + std::string(url));
+  };
+  constexpr std::string_view kScheme = "http://";
+  if (url.substr(0, kScheme.size()) != kScheme) {
+    return invalid("url must start with http://");
+  }
+  std::string_view authority = url.substr(kScheme.size());
+  HttpUrl parsed;
+  const size_t slash = authority.find('/');
+  if (slash != std::string_view::npos) {
+    parsed.path = std::string(authority.substr(slash));
+    authority = authority.substr(0, slash);
+  }
+  const size_t colon = authority.find(':');
+  if (colon == std::string_view::npos) {
+    return invalid("url needs an explicit port (http://HOST:PORT/PATH)");
+  }
+  parsed.host = std::string(authority.substr(0, colon));
+  in_addr addr{};
+  if (::inet_pton(AF_INET, parsed.host.c_str(), &addr) != 1) {
+    return invalid("url host must be a numeric IPv4 address");
+  }
+  const std::string_view digits = authority.substr(colon + 1);
+  uint32_t port = 0;
+  for (const char c : digits) {
+    if (c < '0' || c > '9' || port > 65535) {
+      return invalid("url port must be digits in 1-65535");
+    }
+    port = port * 10 + static_cast<uint32_t>(c - '0');
+  }
+  if (port == 0 || port > 65535) {
+    return invalid("url port must be digits in 1-65535");
+  }
+  parsed.port = static_cast<uint16_t>(port);
+  return parsed;
+}
+
 Result<HttpResult> Fetch(const std::string& host, uint16_t port,
                          const std::string& method, const std::string& path,
                          const std::string& body, const HeaderList& headers,

@@ -2,12 +2,13 @@
 #define SKETCHLINK_SERVE_HTTP_CLIENT_H_
 
 // Minimal HTTP/1.1 client for the service plane: request bodies, arbitrary
-// methods, and keep-alive connection reuse (obs::HttpGet is GET-only and
-// reconnects per call). Used by the load bench, the API smoke tool, and the
-// serving tests. Numeric IPv4 hosts only, like the rest of the tree.
+// methods, and keep-alive connection reuse. Used by the load bench, the
+// command-line clients (api_client, metrics_dump --url), and the serving
+// tests. Numeric IPv4 hosts only, like the rest of the tree.
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -57,6 +58,19 @@ class ClientConnection {
   int fd_ = -1;
   std::string pending_;  // bytes past the previous response (rare)
 };
+
+/// A parsed http://HOST:PORT/PATH target.
+struct HttpUrl {
+  std::string host;  // numeric IPv4
+  uint16_t port = 0;
+  std::string path = "/";  // includes any ?query
+};
+
+/// Parses `url` strictly: the scheme is http://, the host a numeric IPv4
+/// address, the port 1-65535 written only in digits, and the path, when
+/// present, starts with '/' (it defaults to "/"). Anything else is
+/// InvalidArgument, so a typo never reaches a different port.
+Result<HttpUrl> ParseHttpUrl(std::string_view url);
 
 /// One-shot convenience: fresh connection, one request, close.
 Result<HttpResult> Fetch(const std::string& host, uint16_t port,

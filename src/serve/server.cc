@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <exception>
 
+#include "obs/export.h"
 #include "obs/spans.h"
 #include "obs/trace_propagation.h"
 
@@ -432,6 +433,18 @@ void Server::WorkerLoop() {
       --in_flight_;
       if (queue_.empty() && in_flight_ == 0) drain_cv_.notify_all();
     }
+  }
+}
+
+void MountTelemetryRoutes(Server* server, obs::Registry* registry,
+                          obs::Tracer* tracer,
+                          std::function<std::string()> statusz_extra) {
+  for (auto& [path, handler] :
+       obs::TelemetryHandlers(registry, tracer, std::move(statusz_extra))) {
+    server->AddRoute("GET", std::move(path),
+                     [h = std::move(handler)](const Server::Request& request) {
+                       return h(request.http);
+                     });
   }
 }
 

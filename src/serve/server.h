@@ -207,6 +207,14 @@ class Server {
   std::vector<obs::Registration> registrations_;
 };
 
+/// Mounts the standard telemetry surface (obs::TelemetryHandlers: /metrics,
+/// /metrics.json, /traces, /healthz and /statusz) as GET routes on
+/// `server`. Call before Start; `registry` and `tracer` must outlive the
+/// server, and `statusz_extra` (may be empty) is appended to /statusz.
+void MountTelemetryRoutes(Server* server, obs::Registry* registry,
+                          obs::Tracer* tracer,
+                          std::function<std::string()> statusz_extra = {});
+
 }  // namespace sketchlink::serve
 
 #endif  // SKETCHLINK_SERVE_SERVER_H_

@@ -163,6 +163,12 @@ TEST(IntegrationTest, SBlockSketchMatchesBlockSketchQuality) {
 
   const std::string dir = ::testing::TempDir() + "/integration_sbs";
   ASSERT_TRUE(kv::RemoveDirRecursively(dir).ok());
+  // Removes the store after `db` closes, which is after the matcher below
+  // has joined its background spills into `db`.
+  struct RemoveOnExit {
+    std::string dir;
+    ~RemoveOnExit() { (void)kv::RemoveDirRecursively(dir); }
+  } remove_on_exit{dir};
   auto db = kv::Db::Open(dir);
   ASSERT_TRUE(db.ok());
   SBlockSketchOptions streaming_options;
@@ -175,8 +181,6 @@ TEST(IntegrationTest, SBlockSketchMatchesBlockSketchQuality) {
   EXPECT_NEAR(stream_report.quality.recall, mem_report.quality.recall, 0.05);
   EXPECT_NEAR(stream_report.quality.precision, mem_report.quality.precision,
               0.05);
-  db->reset();
-  (void)kv::RemoveDirRecursively(dir);
 }
 
 class AllKindsEndToEnd : public ::testing::TestWithParam<DatasetKind> {};

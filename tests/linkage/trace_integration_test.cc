@@ -91,6 +91,12 @@ TEST(TraceIntegrationTest, EngineSketchKvSpansParentCorrectly) {
 
   const std::string dir = ::testing::TempDir() + "/trace_integration";
   ASSERT_TRUE(kv::RemoveDirRecursively(dir).ok());
+  // Removes the store after `db` closes, which is after the matcher below
+  // has joined its background spills into `db`.
+  struct RemoveOnExit {
+    std::string dir;
+    ~RemoveOnExit() { (void)kv::RemoveDirRecursively(dir); }
+  } remove_on_exit{dir};
   auto db = kv::Db::Open(dir);
   ASSERT_TRUE(db.ok());
   SBlockSketchOptions matcher_options;
@@ -133,9 +139,6 @@ TEST(TraceIntegrationTest, EngineSketchKvSpansParentCorrectly) {
     }
   }
   EXPECT_TRUE(saw_resolve_all);
-
-  db->reset();
-  (void)kv::RemoveDirRecursively(dir);
 }
 
 TEST(TraceIntegrationTest, DisabledTracerRecordsNothing) {

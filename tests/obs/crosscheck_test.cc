@@ -131,6 +131,9 @@ TEST(CrosscheckTest, SBlockSketchStatsMatchRegistrySnapshot) {
   const std::string missing_key = "never_inserted";
   const std::string missing_values = "none#none#none";
   ASSERT_TRUE(sketch.Candidates(missing_key, missing_values).ok());
+  // Background spills still in flight free write-behind memory between the
+  // two reads below; compare the views once the sketch is quiet.
+  ASSERT_TRUE(sketch.WaitForMaintenance().ok());
 
   const SBlockSketchStats stats = sketch.stats();
   const obs::RegistrySnapshot snap = registry.TakeSnapshot();

@@ -1,7 +1,6 @@
 #include "obs/export.h"
 
 #include <algorithm>
-#include <chrono>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -9,7 +8,6 @@
 #include "gtest/gtest.h"
 #include "obs/instruments.h"
 #include "obs/registry.h"
-#include "obs/trace_ring.h"
 
 namespace sketchlink::obs {
 namespace {
@@ -255,57 +253,6 @@ TEST(JsonExportTest, HistogramGolden) {
 
 TEST(JsonExportTest, EmptySnapshotGolden) {
   EXPECT_EQ(ExportJson(RegistrySnapshot()), "{\n  \"metrics\": [\n  ]\n}\n");
-}
-
-// --- Trace export -------------------------------------------------------
-
-TEST(TraceExportTest, Golden) {
-  // Fixed events (not ring-recorded) so the timestamp fields are stable.
-  TraceEvent first;
-  first.sequence = 0;
-  first.category = "engine";
-  first.label = "query";
-  first.start_steady_nanos = 1000;
-  first.start_unix_micros = 1700000000000000;
-  first.duration_nanos = 25000000;
-  TraceEvent second;
-  second.sequence = 1;
-  second.category = "kv";
-  second.label = "compaction";
-  second.start_steady_nanos = 2000;
-  second.start_unix_micros = 1700000000100000;
-  second.duration_nanos = 40000000;
-  EXPECT_EQ(ExportTraceJson({first, second}),
-            "[\n"
-            "  {\"sequence\": 0, \"category\": \"engine\", \"label\": "
-            "\"query\", \"start_steady_nanos\": 1000, \"start_unix_micros\": "
-            "1700000000000000, \"duration_nanos\": 25000000},\n"
-            "  {\"sequence\": 1, \"category\": \"kv\", \"label\": "
-            "\"compaction\", \"start_steady_nanos\": 2000, "
-            "\"start_unix_micros\": 1700000000100000, \"duration_nanos\": "
-            "40000000}\n"
-            "]\n");
-}
-
-TEST(TraceExportTest, RingStampsStartTimes) {
-  // Record computes start = now - duration for both clocks; the steady
-  // start must land before "after" and the unix start must be a plausible
-  // recent wall time (not zero).
-  TraceRing ring(4);
-  ring.Record("engine", "query", 25000000);
-  const auto events = ring.Snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  const uint64_t steady_after =
-      static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                std::chrono::steady_clock::now().time_since_epoch())
-                                .count());
-  EXPECT_GT(events[0].start_steady_nanos, 0u);
-  EXPECT_LT(events[0].start_steady_nanos, steady_after);
-  EXPECT_GT(events[0].start_unix_micros, 1000000000000000u);  // after ~2001
-}
-
-TEST(TraceExportTest, EmptyGolden) {
-  EXPECT_EQ(ExportTraceJson({}), "[\n]\n");
 }
 
 // --- WriteFile ----------------------------------------------------------

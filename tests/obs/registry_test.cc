@@ -134,17 +134,12 @@ TEST(NullRegistryTest, IsInertAndZeroCost) {
   ASSERT_NE(null_registry, nullptr);
   EXPECT_EQ(null_registry, NullRegistry::Get());  // shared instance
   EXPECT_FALSE(null_registry->enabled());
-  EXPECT_EQ(null_registry->trace_ring(), nullptr);
-  EXPECT_EQ(null_registry->slow_op_threshold_nanos(), UINT64_MAX);
 
   Counter counter;
   Registration reg =
       null_registry->AddCounter(MetricId("dropped_total", "Dropped"), &counter);
   EXPECT_FALSE(reg.active());
   EXPECT_EQ(null_registry->TakeSnapshot().metrics.size(), 0u);
-
-  // TraceSlow never records (threshold is UINT64_MAX and the ring is null).
-  null_registry->TraceSlow("test", "op", UINT64_MAX);
 }
 
 TEST(NullRegistryTest, TimingEnabledGate) {
@@ -159,66 +154,6 @@ TEST(DefaultRegistryTest, IsASharedEnabledInstance) {
   MetricRegistry& b = DefaultRegistry();
   EXPECT_EQ(&a, &b);
   EXPECT_TRUE(a.enabled());
-}
-
-// --- Trace ring ---------------------------------------------------------
-
-TEST(TraceRingTest, RecordsInOrderUntilFull) {
-  TraceRing ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  ring.Record("engine", "q1", 100);
-  ring.Record("engine", "q2", 200);
-  const auto events = ring.Snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].sequence, 0u);
-  EXPECT_EQ(events[0].category, "engine");
-  EXPECT_EQ(events[0].label, "q1");
-  EXPECT_EQ(events[0].duration_nanos, 100u);
-  EXPECT_EQ(events[1].sequence, 1u);
-  EXPECT_EQ(ring.total_recorded(), 2u);
-}
-
-TEST(TraceRingTest, WraparoundKeepsNewestAndCountsDrops) {
-  TraceRing ring(4);
-  for (uint64_t i = 0; i < 6; ++i) {
-    ring.Record("kv", "op" + std::to_string(i), i * 10);
-  }
-  const auto events = ring.Snapshot();
-  ASSERT_EQ(events.size(), 4u);  // oldest two overwritten
-  // Oldest-first, sequences are the process-lifetime ordinals 2..5, so the
-  // consumer can compute drops: total_recorded - capacity.
-  for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].sequence, i + 2);
-    EXPECT_EQ(events[i].label, "op" + std::to_string(i + 2));
-  }
-  EXPECT_EQ(ring.total_recorded(), 6u);
-}
-
-TEST(TraceRingTest, ZeroCapacityClampsToOne) {
-  TraceRing ring(0);
-  EXPECT_EQ(ring.capacity(), 1u);
-  ring.Record("a", "x", 1);
-  ring.Record("a", "y", 2);
-  const auto events = ring.Snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].label, "y");
-}
-
-TEST(MetricRegistryTest, TraceSlowFiltersBelowThreshold) {
-  MetricRegistry::Options options;
-  options.slow_op_threshold_nanos = 1000;
-  options.trace_capacity = 8;
-  MetricRegistry registry(options);
-  EXPECT_EQ(registry.slow_op_threshold_nanos(), 1000u);
-
-  registry.TraceSlow("engine", "fast", 999);
-  EXPECT_EQ(registry.trace_ring()->Snapshot().size(), 0u);
-  registry.TraceSlow("engine", "at_threshold", 1000);
-  registry.TraceSlow("engine", "slow", 5000);
-  const auto events = registry.trace_ring()->Snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].label, "at_threshold");
-  EXPECT_EQ(events[1].label, "slow");
 }
 
 // --- Concurrency (exercised under TSan via the sanitizer presets) --------
@@ -237,7 +172,7 @@ TEST(MetricRegistryTest, ConcurrentRegisterUpdateSnapshotUnregister) {
   std::atomic<bool> stop{false};
 
   // One thread snapshots continuously while the others update shared
-  // instruments, churn registrations, and write the trace ring.
+  // instruments and churn registrations.
   std::thread snapshotter([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       const RegistrySnapshot snap = registry.TakeSnapshot();
@@ -263,8 +198,6 @@ TEST(MetricRegistryTest, ConcurrentRegisterUpdateSnapshotUnregister) {
                      {{"thread", std::to_string(t)}}),
             &own_counter);
         own_counter.Inc();
-        registry.TraceSlow("test", "churn",
-                           registry.slow_op_threshold_nanos() + 1);
         // `churn` drops here: deregistration races with TakeSnapshot.
       }
     });
@@ -279,8 +212,6 @@ TEST(MetricRegistryTest, ConcurrentRegisterUpdateSnapshotUnregister) {
   EXPECT_EQ(snap.Find("concurrent_latency_nanos")->histogram.count(),
             static_cast<uint64_t>(kThreads) * kIterations);
   EXPECT_EQ(registry.num_metrics(), 2u);  // all churn registrations dropped
-  EXPECT_EQ(registry.trace_ring()->total_recorded(),
-            static_cast<uint64_t>(kThreads) * kIterations);
 }
 
 TEST(MetricRegistryTest, BackToBackSnapshotsDoNotStarveRegistration) {

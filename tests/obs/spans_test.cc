@@ -354,35 +354,6 @@ TEST(SpanBufferTest, ConcurrentRecordVsSnapshotStress) {
   EXPECT_EQ(buffer.total_recorded() % 3, 0u);
 }
 
-TEST(TraceRingStressTest, ConcurrentRecordVsSnapshot) {
-  // TSan companion to SpanBufferTest.ConcurrentRecordVsSnapshotStress for
-  // the slow-op ring: concurrent Record wraparound against Snapshot reads.
-  TraceRing ring(32);
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> writers;
-  for (int w = 0; w < 4; ++w) {
-    writers.emplace_back([&ring, &stop] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        ring.Record("stress", "op", 1000);
-      }
-    });
-  }
-  uint64_t last_total = 0;
-  for (int i = 0; i < 200; ++i) {
-    const auto events = ring.Snapshot();
-    EXPECT_LE(events.size(), 32u);
-    // Snapshot is sequence-sorted; sequences must be strictly increasing.
-    for (size_t e = 1; e < events.size(); ++e) {
-      EXPECT_LT(events[e - 1].sequence, events[e].sequence);
-    }
-    const uint64_t total = ring.total_recorded();
-    EXPECT_GE(total, last_total);
-    last_total = total;
-  }
-  stop.store(true);
-  for (std::thread& writer : writers) writer.join();
-}
-
 TEST(ChromeTraceExportTest, Golden) {
   SpanRecord root;
   root.trace_id = 7;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/instruments.h"
 #include "obs/registry.h"
 #include "obs/spans.h"
 #include "serve/http_client.h"
@@ -25,8 +26,8 @@ namespace {
 
 using std::chrono::milliseconds;
 
-/// Sends raw bytes and reads until the server closes the connection.
-std::string RawRequest(uint16_t port, const std::string& raw) {
+/// Connects to the server and sends `raw` bytes; returns the socket.
+int SendRaw(uint16_t port, const std::string& raw) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr;
@@ -38,6 +39,11 @@ std::string RawRequest(uint16_t port, const std::string& raw) {
             0);
   EXPECT_EQ(::send(fd, raw.data(), raw.size(), 0),
             static_cast<ssize_t>(raw.size()));
+  return fd;
+}
+
+/// Reads until the server closes `fd`, then closes it.
+std::string ReadToClose(int fd) {
   std::string response;
   char buf[4096];
   for (;;) {
@@ -46,6 +52,17 @@ std::string RawRequest(uint16_t port, const std::string& raw) {
     response.append(buf, static_cast<size_t>(n));
   }
   ::close(fd);
+  return response;
+}
+
+/// Sends raw bytes and reads until the server closes the connection.
+std::string RawRequest(uint16_t port, const std::string& raw) {
+  return ReadToClose(SendRaw(port, raw));
+}
+
+obs::HttpResponse TextResponse(std::string body) {
+  obs::HttpResponse response;
+  response.body = std::move(body);
   return response;
 }
 
@@ -324,6 +341,215 @@ TEST(ServerTest, RegistersServingMetrics) {
   EXPECT_NE(
       registry.TakeSnapshot().Find("serve_requests_admitted_total"),
       nullptr);
+}
+
+// --- HTTP conformance over raw sockets, telemetry routes mounted ---------
+
+class HttpServerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    demo_.Add(5);
+    registration_ = registry_.AddCounter(
+        obs::MetricId("sketchlink_demo_total", "Demo", {{"instance", "t"}}),
+        &demo_);
+    Server::Options options;
+    options.num_workers = 1;
+    server_ = std::make_unique<Server>(options);
+    MountTelemetryRoutes(server_.get(), &registry_, /*tracer=*/nullptr);
+    server_->AddRoute("GET", "/hello", [](const Server::Request& request) {
+      return TextResponse("hello " + request.http.query + "\n");
+    });
+    ASSERT_TRUE(server_->Start().ok());
+    ASSERT_NE(server_->port(), 0);
+  }
+
+  obs::MetricRegistry registry_;
+  obs::Counter demo_;
+  obs::Registration registration_;
+  std::unique_ptr<Server> server_;
+};
+
+TEST_F(HttpServerTest, GoldenResponse) {
+  const std::string response = RawRequest(
+      server_->port(),
+      "GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+  EXPECT_EQ(response,
+            "HTTP/1.1 200 OK\r\n"
+            "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
+            "Content-Length: 109\r\n"
+            "Connection: close\r\n"
+            "\r\n"
+            "# HELP sketchlink_demo_total Demo\n"
+            "# TYPE sketchlink_demo_total counter\n"
+            "sketchlink_demo_total{instance=\"t\"} 5\n");
+}
+
+TEST_F(HttpServerTest, QueryStringIsSplitOffThePath) {
+  const auto result = Fetch("127.0.0.1", server_->port(), "GET", "/hello?a=1");
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  EXPECT_EQ(result->status, 200);
+  EXPECT_EQ(result->body, "hello a=1\n");
+}
+
+TEST_F(HttpServerTest, UnknownPathIs404) {
+  const auto result = Fetch("127.0.0.1", server_->port(), "GET", "/nope");
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  EXPECT_EQ(result->status, 404);
+}
+
+TEST_F(HttpServerTest, NonGetIs405) {
+  for (const char* path : {"/hello", "/metrics", "/healthz"}) {
+    const auto result = Fetch("127.0.0.1", server_->port(), "POST", path);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    EXPECT_EQ(result->status, 405) << path;
+  }
+}
+
+TEST_F(HttpServerTest, MalformedRequestsGet400) {
+  for (const char* raw : {"definitely not http\r\n\r\n", "GET\r\n\r\n",
+                          // the target must start with '/'
+                          "GET hello HTTP/1.1\r\n\r\n",
+                          "GET /hello SPDY/3\r\n\r\n"}) {
+    EXPECT_EQ(RawRequest(server_->port(), raw).rfind("HTTP/1.1 400 ", 0), 0u)
+        << raw;
+  }
+}
+
+TEST_F(HttpServerTest, ServesAfterAMalformedRequest) {
+  RawRequest(server_->port(), "garbage\r\n\r\n");
+  const auto result = Fetch("127.0.0.1", server_->port(), "GET", "/hello");
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  EXPECT_EQ(result->status, 200);
+}
+
+// A client that connects and then stalls mid-request is answered 408 after
+// the loop's io timeout; a well-behaved client is served meanwhile.
+TEST(HttpServerStandaloneTest, StalledClientCannotWedgeTheServer) {
+  Server::Options options;
+  options.num_workers = 1;
+  options.loop.io_timeout_ms = 300;
+  Server server(options);
+  server.AddRoute("GET", "/ping", [](const Server::Request&) {
+    return TextResponse("pong\n");
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  // Stall: open a connection, send half a request line, and go silent.
+  const int stalled = SendRaw(server.port(), "GET /pi");
+
+  const auto result = Fetch("127.0.0.1", server.port(), "GET", "/ping");
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  EXPECT_EQ(result->body, "pong\n");
+
+  // The stalled connection itself is answered 408 and closed, not left
+  // half-open.
+  const std::string response = ReadToClose(stalled);
+  EXPECT_EQ(response.rfind("HTTP/1.1 408 ", 0), 0u) << response;
+}
+
+TEST(HttpServerStandaloneTest, PortInUseFailsToStart) {
+  Server first((Server::Options()));
+  ASSERT_TRUE(first.Start().ok());
+  Server::Options clashing;
+  clashing.loop.port = first.port();
+  Server second(clashing);
+  const Status status = second.Start();
+  EXPECT_TRUE(status.IsIOError()) << status.ToString();
+
+  // reuse_address must not weaken the live-listener conflict: SO_REUSEADDR
+  // only skips the TIME_WAIT linger, it cannot steal a bound port.
+  clashing.loop.reuse_address = true;
+  Server third(clashing);
+  const Status reuse_status = third.Start();
+  EXPECT_TRUE(reuse_status.IsIOError()) << reuse_status.ToString();
+}
+
+TEST(HttpServerStandaloneTest, ReuseAddressRebindsAfterStop) {
+  // Restart-on-the-same-port scenario: the first incarnation served a
+  // connection (so the port has residual TIME_WAIT state), then stopped.
+  Server::Options options;
+  options.loop.reuse_address = true;
+  auto first = std::make_unique<Server>(options);
+  first->AddRoute("GET", "/healthz", [](const Server::Request&) {
+    return TextResponse("ok\n");
+  });
+  ASSERT_TRUE(first->Start().ok());
+  const uint16_t port = first->port();
+  ASSERT_TRUE(Fetch("127.0.0.1", port, "GET", "/healthz").ok());
+  first->Shutdown();
+  first.reset();
+
+  Server::Options rebind = options;
+  rebind.loop.port = port;
+  Server second(rebind);
+  const Status status = second.Start();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(second.port(), port);
+}
+
+TEST(HttpServerStandaloneTest, StopIsIdempotentAndRestartable) {
+  Server server((Server::Options()));
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_FALSE(server.Start().ok());  // already running
+  server.Shutdown();
+  server.Shutdown();
+  ASSERT_TRUE(server.Start().ok());
+  server.Shutdown();
+}
+
+TEST(TelemetryHandlersTest, ServesMetricsTracesAndHealth) {
+  obs::MetricRegistry registry;
+  obs::Counter demo;
+  demo.Add(5);
+  auto reg = registry.AddCounter(
+      obs::MetricId("sketchlink_demo_total", "Demo", {{"instance", "t"}}),
+      &demo);
+
+  obs::Tracer::Options trace_everything;
+  trace_everything.sample_period = 1;
+  trace_everything.keep_period = 1;
+  obs::Tracer tracer(trace_everything);
+  {
+    obs::TraceScope trace = tracer.StartTrace("engine", "query");
+    obs::Span span("sketch", "candidates");
+  }
+
+  Server::Options options;
+  options.num_workers = 1;
+  Server server(options);
+  MountTelemetryRoutes(&server, &registry, &tracer,
+                       [] { return std::string("tenant table\n"); });
+  ASSERT_TRUE(server.Start().ok());
+  const auto get = [&](const char* path) {
+    const auto result = Fetch("127.0.0.1", server.port(), "GET", path);
+    EXPECT_TRUE(result.ok()) << path << ": " << result.status().message();
+    EXPECT_EQ(result.ok() ? result->status : 0, 200) << path;
+    return result.ok() ? result->body : std::string();
+  };
+
+  std::string body = get("/healthz");
+  EXPECT_EQ(body.rfind("ok\n", 0), 0u) << body;
+  EXPECT_NE(body.find("build_id "), std::string::npos) << body;
+  EXPECT_NE(body.find("uptime_seconds "), std::string::npos) << body;
+
+  body = get("/metrics");
+  EXPECT_NE(body.find("# TYPE sketchlink_demo_total counter"),
+            std::string::npos);
+  EXPECT_NE(body.find("sketchlink_demo_total{instance=\"t\"} 5"),
+            std::string::npos);
+
+  body = get("/metrics.json");
+  EXPECT_NE(body.find("\"name\": \"sketchlink_demo_total\""),
+            std::string::npos);
+
+  body = get("/traces");
+  EXPECT_NE(body.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(body.find("\"name\": \"query\""), std::string::npos);
+  EXPECT_NE(body.find("\"name\": \"candidates\""), std::string::npos);
+
+  body = get("/statusz");
+  EXPECT_NE(body.find("exported_metrics: 1\n"), std::string::npos) << body;
+  EXPECT_NE(body.find("tenant table\n"), std::string::npos) << body;
 }
 
 }  // namespace

@@ -74,9 +74,13 @@ class ReferenceEngine {
 class LinkageServiceTest : public ::testing::Test {
  protected:
   LinkageServiceTest() {
-    options_.scratch_dir =
-        (std::filesystem::temp_directory_path() / "sketchlink_service_test")
-            .string();
+    // One root per test: ctest runs these as parallel processes, and a
+    // shared root lets one test's constructor delete another's spill dirs.
+    const std::string test_name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    options_.scratch_dir = (std::filesystem::temp_directory_path() /
+                            ("sketchlink_service_test_" + test_name))
+                               .string();
     std::filesystem::remove_all(options_.scratch_dir);
     options_.max_indexes = 3;
     options_.max_batch_records = 100;

@@ -5,6 +5,8 @@
 //   api_client METHOD URL [--body=JSON] [--body-file=PATH]
 //              [--header=Name:Value]... [--expect-status=N]
 //
+// URL is http://IP:PORT/PATH, parsed by serve::ParseHttpUrl: a port out
+// of 1-65535 or with trailing garbage is an error, never another port.
 // The response body is printed to stdout. Exit is 0 when the status
 // matches --expect-status (or is 2xx when no expectation is given),
 // 1 otherwise — so ctest scripts can assert both success and the
@@ -25,30 +27,12 @@ namespace {
 using sketchlink::serve::Fetch;
 using sketchlink::serve::HeaderList;
 using sketchlink::serve::HttpResult;
+using sketchlink::serve::HttpUrl;
+using sketchlink::serve::ParseHttpUrl;
 
 int Fail(const std::string& message) {
   std::fprintf(stderr, "api_client: %s\n", message.c_str());
   return 1;
-}
-
-// Accepts http://HOST:PORT/PATH with a numeric IPv4 host.
-bool ParseUrl(const std::string& url, std::string* host, uint16_t* port,
-              std::string* path) {
-  const std::string prefix = "http://";
-  if (url.rfind(prefix, 0) != 0) return false;
-  const size_t host_start = prefix.size();
-  const size_t path_start = url.find('/', host_start);
-  std::string authority = path_start == std::string::npos
-                              ? url.substr(host_start)
-                              : url.substr(host_start, path_start - host_start);
-  *path = path_start == std::string::npos ? "/" : url.substr(path_start);
-  const size_t colon = authority.rfind(':');
-  if (colon == std::string::npos) return false;
-  *host = authority.substr(0, colon);
-  const long parsed = std::strtol(authority.c_str() + colon + 1, nullptr, 10);
-  if (parsed <= 0 || parsed > 65535) return false;
-  *port = static_cast<uint16_t>(parsed);
-  return !host->empty();
 }
 
 }  // namespace
@@ -91,15 +75,11 @@ int main(int argc, char** argv) {
   method = positional[0];
   url = positional[1];
 
-  std::string host;
-  uint16_t port = 0;
-  std::string path;
-  if (!ParseUrl(url, &host, &port, &path)) {
-    return Fail("bad url (want http://IP:PORT/path): " + url);
-  }
+  const sketchlink::Result<HttpUrl> target = ParseHttpUrl(url);
+  if (!target.ok()) return Fail(target.status().ToString());
 
   sketchlink::Result<HttpResult> result =
-      Fetch(host, port, method, path, body, headers);
+      Fetch(target->host, target->port, method, target->path, body, headers);
   if (!result.ok()) {
     return Fail(std::string(result.status().message()));
   }

@@ -2,68 +2,44 @@
 // registry — the quickest way to see every exported series, validate an
 // exporter against a scrape target, or eyeball latency distributions.
 //
-//   metrics_dump [--kind=ncvr] [--entities=500] [--copies=8]
+//   metrics_dump [--kind=ncvr] [--entities=500] [--copies=8] [--seed=42]
 //       [--method=blocksketch|sblocksketch] [--mu=200] [--threads=1]
-//       [--format=prometheus|json|trace] [--out=PATH] [--slow-ms=20]
+//       [--format=prometheus|json|trace] [--out=PATH]
 //   metrics_dump --url=http://127.0.0.1:PORT/metrics [--out=PATH]
 //
 // The pipeline is self-contained (synthetic workload, scratch spill store
 // for sblocksketch); the dump goes to stdout unless --out is given.
-// --format=trace prints the slow-op ring (lower --slow-ms to populate it on
-// fast machines). --url skips the pipeline entirely and scrapes a live
-// endpoint (e.g. `sketchlink_cli serve`) over a plain socket instead —
-// the body is printed/written verbatim so the same validators apply to
-// both local dumps and live scrapes.
+// --format=trace traces every query of the pipeline and prints the kept
+// spans as Chrome trace_event JSON, the format /traces serves. --url skips
+// the pipeline entirely and GETs a live endpoint (e.g. `sketchlink_cli
+// serve`) with serve::Fetch instead; a transport failure or a non-2xx
+// status exits 1. The body is printed/written verbatim so the same
+// validators apply to both local dumps and live scrapes. An unknown flag,
+// a stray argument or a malformed number exits 2 with usage
+// (tools/flags.h).
 
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
 
 #include "blocking/presets.h"
 #include "datagen/generators.h"
+#include "flags.h"
 #include "kv/db.h"
 #include "kv/env.h"
 #include "linkage/engine.h"
 #include "linkage/sketch_matchers.h"
 #include "obs/export.h"
-#include "obs/http_server.h"
 #include "obs/registry.h"
+#include "obs/spans.h"
+#include "serve/http_client.h"
 
 namespace sketchlink::cli {
 namespace {
 
 using datagen::DatasetKind;
 
-std::map<std::string, std::string> ParseFlags(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    arg = arg.substr(2);
-    const size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags[arg] = "true";
-    } else {
-      flags[arg.substr(0, eq)] = arg.substr(eq + 1);
-    }
-  }
-  return flags;
-}
-
-std::string Get(const std::map<std::string, std::string>& flags,
-                const std::string& name, const std::string& fallback = "") {
-  auto it = flags.find(name);
-  return it == flags.end() ? fallback : it->second;
-}
-
-uint64_t GetInt(const std::map<std::string, std::string>& flags,
-                const std::string& name, uint64_t fallback) {
-  auto it = flags.find(name);
-  return it == flags.end() ? fallback
-                           : std::strtoull(it->second.c_str(), nullptr, 10);
-}
+using tools::Flags;
 
 int Fail(const std::string& message) {
   std::fprintf(stderr, "error: %s\n", message.c_str());
@@ -71,9 +47,8 @@ int Fail(const std::string& message) {
 }
 
 /// Writes `output` to --out or stdout, mirroring the pipeline dump path.
-int Emit(const std::map<std::string, std::string>& flags,
-         const std::string& output) {
-  const std::string out_path = Get(flags, "out");
+int Emit(const Flags& flags, const std::string& output) {
+  const std::string out_path = flags.Get("out");
   if (out_path.empty()) {
     std::fputs(output.c_str(), stdout);
     return 0;
@@ -87,71 +62,63 @@ int Emit(const std::map<std::string, std::string>& flags,
 
 /// Scrape mode: GET `url` (http://HOST:PORT/PATH, numeric IPv4 host) and
 /// emit the body verbatim.
-int ScrapeUrl(const std::map<std::string, std::string>& flags,
-              const std::string& url) {
-  const std::string scheme = "http://";
-  if (url.rfind(scheme, 0) != 0) {
-    return Fail("--url must start with http://");
+int ScrapeUrl(const Flags& flags, const std::string& url) {
+  const Result<serve::HttpUrl> target = serve::ParseHttpUrl(url);
+  if (!target.ok()) return Fail("--url: " + target.status().ToString());
+  const Result<serve::HttpResult> response =
+      serve::Fetch(target->host, target->port, "GET", target->path);
+  if (!response.ok()) {
+    return Fail("GET " + url + " failed: " + response.status().ToString());
   }
-  const std::string rest = url.substr(scheme.size());
-  const size_t slash = rest.find('/');
-  const std::string host_port =
-      slash == std::string::npos ? rest : rest.substr(0, slash);
-  const std::string path =
-      slash == std::string::npos ? "/" : rest.substr(slash);
-  const size_t colon = host_port.find(':');
-  if (colon == std::string::npos) {
-    return Fail("--url needs an explicit port: http://HOST:PORT/PATH");
-  }
-  const std::string host = host_port.substr(0, colon);
-  const uint16_t port = static_cast<uint16_t>(
-      std::strtoul(host_port.c_str() + colon + 1, nullptr, 10));
-  if (port == 0) return Fail("--url has an invalid port");
-
-  std::string body;
-  int status_code = 0;
-  const Status status = obs::HttpGet(host, port, path, &body, &status_code);
-  if (!status.ok()) {
+  if (response->status < 200 || response->status > 299) {
     return Fail("GET " + url + " failed (HTTP " +
-                std::to_string(status_code) + "): " + status.ToString());
+                std::to_string(response->status) + "): " + response->body);
   }
-  return Emit(flags, body);
+  return Emit(flags, response->body);
 }
 
 int Main(int argc, char** argv) {
-  const auto flags = ParseFlags(argc, argv);
+  const Flags flags("metrics_dump",
+                    {{"url", "URL"}, {"out", "PATH"}, {"kind", "NAME"},
+                     {"format", "NAME"}, {"method", "NAME"}, {"entities", "N"},
+                     {"copies", "N"}, {"seed", "N"}, {"mu", "N"},
+                     {"threads", "N"}},
+                    argc, argv, 1);
 
-  const std::string url = Get(flags, "url");
+  const std::string url = flags.Get("url");
   if (!url.empty()) return ScrapeUrl(flags, url);
 
   DatasetKind kind;
-  const std::string kind_name = Get(flags, "kind", "ncvr");
+  const std::string kind_name = flags.Get("kind", "ncvr");
   if (kind_name == "dblp") kind = DatasetKind::kDblp;
   else if (kind_name == "ncvr") kind = DatasetKind::kNcvr;
   else if (kind_name == "lab") kind = DatasetKind::kLab;
   else return Fail("--kind must be dblp|ncvr|lab");
 
-  const std::string format = Get(flags, "format", "prometheus");
+  const std::string format = flags.Get("format", "prometheus");
   if (format != "prometheus" && format != "json" && format != "trace") {
     return Fail("--format must be prometheus|json|trace");
   }
-  const std::string method = Get(flags, "method", "blocksketch");
+  const std::string method = flags.Get("method", "blocksketch");
   if (method != "blocksketch" && method != "sblocksketch") {
     return Fail("--method must be blocksketch|sblocksketch");
   }
 
-  obs::MetricRegistry::Options registry_options;
-  registry_options.slow_op_threshold_nanos =
-      GetInt(flags, "slow-ms", 20) * 1'000'000;
-  obs::MetricRegistry registry(registry_options);
+  obs::MetricRegistry registry;
+  // --format=trace keeps every query's spans: the dump shows the whole
+  // engine -> sketch -> kv tree, not a sample of it.
+  obs::Tracer::Options trace_options;
+  trace_options.sample_period = 1;
+  trace_options.keep_period = 1;
+  obs::Tracer tracer(trace_options);
 
   // Build and run the instrumented pipeline.
   datagen::WorkloadSpec spec;
   spec.kind = kind;
-  spec.num_entities = GetInt(flags, "entities", 500);
-  spec.copies_per_entity = GetInt(flags, "copies", 8);
+  spec.num_entities = flags.GetInt("entities", 500);
+  spec.copies_per_entity = flags.GetInt("copies", 8);
   spec.max_perturb_ops = 4;
-  spec.seed = GetInt(flags, "seed", 42);
+  spec.seed = flags.GetInt("seed", 42);
   const datagen::Workload workload = datagen::MakeWorkload(spec);
 
   auto blocker = MakeStandardBlocker(kind);
@@ -172,7 +139,7 @@ int Main(int argc, char** argv) {
     if (!db.ok()) return Fail(db.status().ToString());
     spill_db = std::move(*db);
     SBlockSketchOptions options;
-    options.mu = GetInt(flags, "mu", 200);
+    options.mu = flags.GetInt("mu", 200);
     matcher = std::make_unique<SBlockSketchMatcher>(options, spill_db.get(),
                                                     similarity, &store);
   } else {
@@ -181,9 +148,10 @@ int Main(int argc, char** argv) {
   }
 
   EngineOptions engine_options;
-  engine_options.num_threads = GetInt(flags, "threads", 1);
+  engine_options.num_threads = flags.GetInt("threads", 1);
   engine_options.registry = &registry;
   engine_options.metrics_instance = "dump";
+  if (format == "trace") engine_options.tracer = &tracer;
   LinkageEngine engine(blocker.get(), matcher.get(), similarity,
                        engine_options);
   Status status = engine.BuildIndex(workload.a);
@@ -199,8 +167,7 @@ int Main(int argc, char** argv) {
   } else if (format == "json") {
     output = obs::ExportJson(registry.TakeSnapshot());
   } else {
-    output = obs::ExportTraceJson(registry.trace_ring()->Snapshot());
-    output += "\n";
+    output = obs::ExportChromeTraceJson(tracer.buffer().Snapshot());
   }
 
   const int rc = Emit(flags, output);

@@ -1,7 +1,7 @@
 # Smoke test of metrics_dump, run by ctest: run an instrumented pipeline and
 # validate every line of the Prometheus text exposition against the format
 # grammar (names, label blocks, numeric samples) without external tooling,
-# then sanity-check the JSON and trace outputs.
+# then sanity-check the JSON output and the span trace's parenting.
 
 if(NOT DEFINED TOOL)
   message(FATAL_ERROR "pass -DTOOL=<path to metrics_dump>")
@@ -62,11 +62,30 @@ if(NOT JSON MATCHES "\"metrics\": \\[" OR
   message(FATAL_ERROR "JSON export missing expected structure")
 endif()
 
-# --- Trace ring ---------------------------------------------------------
-# slow-ms=0 records every traced operation, so the ring cannot be empty.
-run_tool(--kind=ncvr --entities=150 --copies=5 --format=trace --slow-ms=0)
-if(NOT LAST_OUTPUT MATCHES "\"duration_nanos\"")
-  message(FATAL_ERROR "trace dump has no events at slow-ms=0: ${LAST_OUTPUT}")
+# --- Span trace ---------------------------------------------------------
+# --format=trace keeps every query's spans; with the spill store in play the
+# dump must hold a parented engine/query -> sketch -> kv chain.
+run_tool(--kind=ncvr --entities=150 --copies=5 --method=sblocksketch --mu=50
+         --format=trace --out=${WORK}/trace.json)
+find_program(PYTHON3 python3)
+if(PYTHON3)
+  execute_process(COMMAND "${PYTHON3}"
+                          "${CMAKE_CURRENT_LIST_DIR}/check_trace_parenting.py"
+                          "${WORK}/trace.json"
+                  RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "trace parenting check failed: ${out}${err}")
+  endif()
+  string(STRIP "${out}" out)
+  message(STATUS "${out}")
+else()
+  file(READ "${WORK}/trace.json" TRACE)
+  if(NOT TRACE MATCHES "\"traceEvents\"")
+    message(FATAL_ERROR "trace dump is not Chrome trace_event JSON")
+  endif()
+  message(WARNING "python3 not found — skipping trace parenting check")
 endif()
 
 # Bad flags must fail loudly.

@@ -1,15 +1,16 @@
 // sketchlink command-line tool: drive the library's pipelines from the
 // shell without writing C++.
 //
-//   sketchlink_cli generate --kind=ncvr --entities=1000 --copies=10 \
+//   sketchlink_cli generate --kind=ncvr --entities=1000 --copies=10
 //       --q=q.csv --a=a.csv [--seed=42] [--max-ops=4]
-//   sketchlink_cli synopsis --in=a.csv --out=a.sketch [--expected-keys=N]
+//   sketchlink_cli synopsis --in=a.csv --out=a.sketch [--kind=ncvr]
+//       [--expected-keys=N]
 //   sketchlink_cli overlap --a=a.sketch --b=b.sketch
 //   sketchlink_cli link --a=a.csv --q=q.csv --kind=ncvr
 //       [--method=blocksketch|eo|inv|naive] [--blocking=standard|lsh]
 //   sketchlink_cli serve [--kind=ncvr] [--entities=500] [--copies=8]
-//       [--method=sblocksketch|blocksketch] [--mu=50] [--threads=1]
-//       [--port=0] [--port-file=PATH] [--reuse-addr]
+//       [--seed=42] [--method=sblocksketch|blocksketch] [--mu=50]
+//       [--threads=1] [--port=0] [--port-file=PATH] [--reuse-addr]
 //       [--sample-period=1] [--keep-period=1] [--max-seconds=0]
 //   sketchlink_cli api [--port=0] [--port-file=PATH] [--reuse-addr]
 //       [--workers=2] [--max-queue=128] [--deadline-ms=5000]
@@ -17,30 +18,36 @@
 //       [--sample-period=1] [--keep-period=1] [--max-seconds=0]
 //       [--request-log=PATH] [--log-sample-period=1]
 //
+// Every command takes only the flags listed for it, each as --flag=value
+// (--reuse-addr is a bare switch). An unknown flag, a stray argument or a
+// malformed number (--port above 65535, --workers, --max-queue or
+// --deadline-ms of 0) exits 2 with usage (tools/flags.h).
+//
 // `generate` writes a Q/A workload as CSV; `synopsis` compiles a SkipBloom
 // from a data set's blocking keys and serializes it (the artifact the
 // Fig. 3 protocol ships between custodians); `overlap` estimates the
 // overlap coefficient from two synopsis files; `link` runs a full
-// blocking+matching experiment and prints the report; `serve` runs a
-// traced pipeline and exposes /metrics, /metrics.json, /traces, /healthz
-// and /statusz over HTTP until /quitquitquit is hit (or --max-seconds
-// elapses). serve defaults to trace-everything sampling so a scrape of
-// /traces always shows parented engine→sketch→kv spans, and its
-// GET /resolve?i=N endpoint resolves one workload query under the
-// caller's traceparent (the cross-process propagation test surface).
-// `api` starts the concurrent linkage-as-a-service plane (src/serve): the
-// /v1/indexes endpoints for multi-tenant create/insert/query/delete plus
-// the same telemetry surface, all on one port, until POST /quitquitquit;
-// --request-log=PATH additionally writes one JSON line per request.
+// blocking+matching experiment and prints the report. `serve` and `api`
+// both run on serve::Server and expose /metrics, /metrics.json, /traces,
+// /healthz and /statusz until /quitquitquit is hit (GET or POST) or
+// --max-seconds elapses. `serve` runs a traced pipeline on one worker; it
+// defaults to trace-everything sampling so a scrape of /traces always shows
+// parented engine→sketch→kv spans, and its GET /resolve?i=N endpoint
+// resolves one workload query under the caller's traceparent (the
+// cross-process propagation test surface). `api` starts the concurrent
+// linkage-as-a-service plane (src/serve): the /v1/indexes endpoints for
+// multi-tenant create/insert/query/delete beside the telemetry surface, all
+// on one port; --request-log=PATH additionally writes one JSON line per
+// request.
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "baselines/edge_ordering.h"
 #include "baselines/inv_index.h"
@@ -49,12 +56,12 @@
 #include "core/overlap.h"
 #include "core/skip_bloom.h"
 #include "datagen/generators.h"
+#include "flags.h"
 #include "kv/db.h"
 #include "kv/env.h"
 #include "linkage/engine.h"
 #include "linkage/sketch_matchers.h"
 #include "obs/build_info.h"
-#include "obs/http_server.h"
 #include "obs/registry.h"
 #include "obs/request_log.h"
 #include "obs/spans.h"
@@ -68,36 +75,8 @@ namespace {
 
 using datagen::DatasetKind;
 
-// --flag=value argument parsing into a map.
-std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int first) {
-  std::map<std::string, std::string> flags;
-  for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    arg = arg.substr(2);
-    const size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags[arg] = "true";
-    } else {
-      flags[arg.substr(0, eq)] = arg.substr(eq + 1);
-    }
-  }
-  return flags;
-}
-
-std::string Get(const std::map<std::string, std::string>& flags,
-                const std::string& name, const std::string& fallback = "") {
-  auto it = flags.find(name);
-  return it == flags.end() ? fallback : it->second;
-}
-
-uint64_t GetInt(const std::map<std::string, std::string>& flags,
-                const std::string& name, uint64_t fallback) {
-  auto it = flags.find(name);
-  return it == flags.end() ? fallback
-                           : std::strtoull(it->second.c_str(), nullptr, 10);
-}
+using tools::Flags;
+using tools::FlagSpec;
 
 bool ParseKind(const std::string& name, DatasetKind* kind) {
   if (name == "dblp") *kind = DatasetKind::kDblp;
@@ -112,19 +91,19 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-int Generate(const std::map<std::string, std::string>& flags) {
+int Generate(const Flags& flags) {
   DatasetKind kind;
-  if (!ParseKind(Get(flags, "kind", "ncvr"), &kind)) {
+  if (!ParseKind(flags.Get("kind", "ncvr"), &kind)) {
     return Fail("--kind must be dblp|ncvr|lab");
   }
   datagen::WorkloadSpec spec;
   spec.kind = kind;
-  spec.num_entities = GetInt(flags, "entities", 1000);
-  spec.copies_per_entity = GetInt(flags, "copies", 10);
-  spec.max_perturb_ops = static_cast<int>(GetInt(flags, "max-ops", 4));
-  spec.seed = GetInt(flags, "seed", 42);
-  const std::string q_path = Get(flags, "q", "q.csv");
-  const std::string a_path = Get(flags, "a", "a.csv");
+  spec.num_entities = flags.GetInt("entities", 1000);
+  spec.copies_per_entity = flags.GetInt("copies", 10);
+  spec.max_perturb_ops = static_cast<int>(flags.GetInt("max-ops", 4));
+  spec.seed = flags.GetInt("seed", 42);
+  const std::string q_path = flags.Get("q", "q.csv");
+  const std::string a_path = flags.Get("a", "a.csv");
 
   const datagen::Workload workload = datagen::MakeWorkload(spec);
   Status status = workload.q.WriteCsv(q_path);
@@ -137,22 +116,22 @@ int Generate(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int Synopsis(const std::map<std::string, std::string>& flags) {
-  const std::string in = Get(flags, "in");
-  const std::string out = Get(flags, "out");
+int Synopsis(const Flags& flags) {
+  const std::string in = flags.Get("in");
+  const std::string out = flags.Get("out");
   if (in.empty() || out.empty()) return Fail("--in and --out are required");
   auto dataset = Dataset::ReadCsv(in);
   if (!dataset.ok()) return Fail(dataset.status().ToString());
 
   DatasetKind kind;
-  if (!ParseKind(Get(flags, "kind", "ncvr"), &kind)) {
+  if (!ParseKind(flags.Get("kind", "ncvr"), &kind)) {
     return Fail("--kind must be dblp|ncvr|lab");
   }
   auto blocker = MakeStandardBlocker(kind);
 
   SkipBloomOptions options;
   options.expected_keys =
-      GetInt(flags, "expected-keys", dataset->size());
+      flags.GetInt("expected-keys", dataset->size());
   SkipBloom synopsis(options);
   for (const Record& record : dataset->records()) {
     synopsis.Insert(blocker->Key(record));
@@ -170,9 +149,9 @@ int Synopsis(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int Overlap(const std::map<std::string, std::string>& flags) {
-  const std::string path_a = Get(flags, "a");
-  const std::string path_b = Get(flags, "b");
+int Overlap(const Flags& flags) {
+  const std::string path_a = flags.Get("a");
+  const std::string path_b = flags.Get("b");
   if (path_a.empty() || path_b.empty()) {
     return Fail("--a and --b synopsis files are required");
   }
@@ -199,17 +178,17 @@ int Overlap(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int Link(const std::map<std::string, std::string>& flags) {
+int Link(const Flags& flags) {
   DatasetKind kind;
-  if (!ParseKind(Get(flags, "kind", "ncvr"), &kind)) {
+  if (!ParseKind(flags.Get("kind", "ncvr"), &kind)) {
     return Fail("--kind must be dblp|ncvr|lab");
   }
-  auto a = Dataset::ReadCsv(Get(flags, "a", "a.csv"));
+  auto a = Dataset::ReadCsv(flags.Get("a", "a.csv"));
   if (!a.ok()) return Fail(a.status().ToString());
-  auto q = Dataset::ReadCsv(Get(flags, "q", "q.csv"));
+  auto q = Dataset::ReadCsv(flags.Get("q", "q.csv"));
   if (!q.ok()) return Fail(q.status().ToString());
 
-  const std::string blocking = Get(flags, "blocking", "standard");
+  const std::string blocking = flags.Get("blocking", "standard");
   std::unique_ptr<Blocker> blocker;
   if (blocking == "standard") {
     blocker = MakeStandardBlocker(kind);
@@ -223,7 +202,7 @@ int Link(const std::map<std::string, std::string>& flags) {
   RecordStore store;
   Oracle oracle;
   std::unique_ptr<OnlineMatcher> matcher;
-  const std::string method = Get(flags, "method", "blocksketch");
+  const std::string method = flags.Get("method", "blocksketch");
   if (method == "blocksketch") {
     matcher = std::make_unique<BlockSketchMatcher>(BlockSketchOptions(),
                                                    similarity, &store);
@@ -261,34 +240,105 @@ int Link(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int Serve(const std::map<std::string, std::string>& flags) {
+// Trace-everything defaults: the serving commands are debugging surfaces,
+// so a scrape of /traces must deterministically show spans, not depend on
+// sampling luck.
+obs::Tracer::Options TraceOptions(const Flags& flags) {
+  obs::Tracer::Options options;
+  options.sample_period =
+      static_cast<uint32_t>(flags.GetInt("sample-period", 1));
+  options.keep_period = static_cast<uint32_t>(flags.GetInt("keep-period", 1));
+  return options;
+}
+
+// --reuse-addr lets a supervised restart rebind a fixed --port while the
+// previous incarnation's socket drains TIME_WAIT. Binding over a live
+// listener still fails either way.
+serve::EventLoop::Options LoopOptions(const Flags& flags) {
+  serve::EventLoop::Options options;
+  options.port = static_cast<uint16_t>(flags.GetInt("port", 0));
+  options.reuse_address = flags.Has("reuse-addr");
+  return options;
+}
+
+// The tail of every serving command: mounts GET and POST /quitquitquit,
+// starts `server`, publishes --port-file, and blocks until /quitquitquit is
+// hit or --max-seconds elapses, then drains the server.
+int RunServer(serve::Server* server, const Flags& flags, const char* banner,
+              const char* endpoints) {
+  std::mutex quit_mutex;
+  std::condition_variable quit_cv;
+  bool quit = false;
+  const auto quit_handler = [&](const serve::Server::Request&) {
+    {
+      std::lock_guard<std::mutex> lock(quit_mutex);
+      quit = true;
+    }
+    quit_cv.notify_all();
+    obs::HttpResponse response;
+    response.body = "bye\n";
+    return response;
+  };
+  server->AddRoute("POST", "/quitquitquit", quit_handler);
+  // GET variant so GET-only clients (metrics_dump --url) can stop the
+  // server from test scripts.
+  server->AddRoute("GET", "/quitquitquit", quit_handler);
+
+  const Status status = server->Start();
+  if (!status.ok()) return Fail(status.ToString());
+  std::printf("%s on http://127.0.0.1:%u\n", banner,
+              static_cast<unsigned>(server->port()));
+  std::printf("endpoints: %s /quitquitquit\n", endpoints);
+  std::fflush(stdout);
+
+  // Port file written after Start: a reader never sees a port that is not
+  // yet accepting connections.
+  const std::string port_file = flags.Get("port-file");
+  if (!port_file.empty()) {
+    const Status write = kv::WriteStringToFileSync(
+        port_file, std::to_string(server->port()) + "\n");
+    if (!write.ok()) {
+      server->Shutdown();  // the quit handler refers to this frame
+      return Fail(write.ToString());
+    }
+  }
+
+  const uint64_t max_seconds = flags.GetInt("max-seconds", 0);
+  {
+    std::unique_lock<std::mutex> lock(quit_mutex);
+    if (max_seconds == 0) {
+      quit_cv.wait(lock, [&] { return quit; });
+    } else {
+      quit_cv.wait_for(lock, std::chrono::seconds(max_seconds),
+                       [&] { return quit; });
+    }
+  }
+  server->Shutdown();
+  std::printf("stopped\n");
+  return 0;
+}
+
+int Serve(const Flags& flags) {
   DatasetKind kind;
-  if (!ParseKind(Get(flags, "kind", "ncvr"), &kind)) {
+  if (!ParseKind(flags.Get("kind", "ncvr"), &kind)) {
     return Fail("--kind must be dblp|ncvr|lab");
   }
-  const std::string method = Get(flags, "method", "sblocksketch");
+  const std::string method = flags.Get("method", "sblocksketch");
   if (method != "blocksketch" && method != "sblocksketch") {
     return Fail("--method must be blocksketch|sblocksketch");
   }
 
   obs::MetricRegistry registry;
-  // Trace-everything defaults: serve is a debugging surface, so a scrape of
-  // /traces must deterministically show spans, not depend on sampling luck.
-  obs::Tracer::Options trace_options;
-  trace_options.sample_period =
-      static_cast<uint32_t>(GetInt(flags, "sample-period", 1));
-  trace_options.keep_period =
-      static_cast<uint32_t>(GetInt(flags, "keep-period", 1));
-  obs::Tracer tracer(trace_options);
+  obs::Tracer tracer(TraceOptions(flags));
   const auto tracer_regs = tracer.RegisterMetrics(&registry, "serve");
   const auto process_regs = obs::RegisterProcessMetrics(&registry);
 
   datagen::WorkloadSpec spec;
   spec.kind = kind;
-  spec.num_entities = GetInt(flags, "entities", 500);
-  spec.copies_per_entity = GetInt(flags, "copies", 8);
+  spec.num_entities = flags.GetInt("entities", 500);
+  spec.copies_per_entity = flags.GetInt("copies", 8);
   spec.max_perturb_ops = 4;
-  spec.seed = GetInt(flags, "seed", 42);
+  spec.seed = flags.GetInt("seed", 42);
   const datagen::Workload workload = datagen::MakeWorkload(spec);
 
   auto blocker = MakeStandardBlocker(kind);
@@ -311,7 +361,7 @@ int Serve(const std::map<std::string, std::string>& flags) {
     if (!db.ok()) return Fail(db.status().ToString());
     spill_db = std::move(*db);
     SBlockSketchOptions options;
-    options.mu = GetInt(flags, "mu", 50);
+    options.mu = flags.GetInt("mu", 50);
     matcher = std::make_unique<SBlockSketchMatcher>(options, spill_db.get(),
                                                     similarity, &store);
   } else {
@@ -320,7 +370,7 @@ int Serve(const std::map<std::string, std::string>& flags) {
   }
 
   EngineOptions engine_options;
-  engine_options.num_threads = GetInt(flags, "threads", 1);
+  engine_options.num_threads = flags.GetInt("threads", 1);
   engine_options.registry = &registry;
   engine_options.metrics_instance = "serve";
   engine_options.tracer = &tracer;
@@ -335,22 +385,21 @@ int Serve(const std::map<std::string, std::string>& flags) {
               "(recall %.4f)\n",
               workload.a.size(), workload.q.size(), report->quality.recall);
 
-  obs::HttpServer::Options server_options;
-  server_options.port = static_cast<uint16_t>(GetInt(flags, "port", 0));
-  // --reuse-addr lets a supervised restart rebind a fixed --port while the
-  // previous incarnation's socket drains TIME_WAIT. Binding over a live
-  // listener still fails either way.
-  server_options.reuse_address = flags.count("reuse-addr") > 0;
-  obs::HttpServer server(server_options);
-  obs::RegisterTelemetryHandlers(&server, &registry, &tracer);
+  // One worker resolves requests in arrival order. No server tracer: the
+  // engine's per-query span stays the trace root.
+  serve::Server::Options server_options;
+  server_options.loop = LoopOptions(flags);
+  server_options.num_workers = 1;
+  serve::Server server(server_options);
+  serve::MountTelemetryRoutes(&server, &registry, &tracer);
 
   // GET /resolve?i=N resolves workload query N under the caller's
   // traceparent (when one is sent): the engine's per-query root span adopts
   // the remote trace identity, so a client can follow its own trace id into
   // this process's engine→sketch→kv chain via /traces.
-  server.AddHandler("/resolve", [&](const obs::HttpRequest& request) {
+  server.AddRoute("GET", "/resolve", [&](const serve::Server::Request& r) {
     obs::HttpResponse response;
-    const uint64_t i = obs::QueryParams::Parse(request.query).GetInt("i", 0);
+    const uint64_t i = obs::QueryParams::Parse(r.http.query).GetInt("i", 0);
     if (i >= workload.q.size()) {
       response.status = 400;
       response.body = "i out of range (workload has " +
@@ -358,7 +407,7 @@ int Serve(const std::map<std::string, std::string>& flags) {
       return response;
     }
     obs::RemoteSpanRef remote;
-    (void)obs::ParseTraceparent(request.Header(obs::kTraceparentHeader),
+    (void)obs::ParseTraceparent(r.http.Header(obs::kTraceparentHeader),
                                 &remote);
     obs::ScopedRemoteParent remote_parent(remote);
     const auto matches = engine.ResolveOne(workload.q.records()[i]);
@@ -371,91 +420,43 @@ int Serve(const std::map<std::string, std::string>& flags) {
     return response;
   });
 
-  std::mutex quit_mutex;
-  std::condition_variable quit_cv;
-  bool quit = false;
-  server.AddHandler("/quitquitquit", [&](const obs::HttpRequest&) {
-    {
-      std::lock_guard<std::mutex> lock(quit_mutex);
-      quit = true;
-    }
-    quit_cv.notify_all();
-    obs::HttpResponse response;
-    response.body = "bye\n";
-    return response;
-  });
-
-  status = server.Start();
-  if (!status.ok()) return Fail(status.ToString());
-  std::printf("serving on http://127.0.0.1:%u\n",
-              static_cast<unsigned>(server.port()));
-  std::printf("endpoints: /metrics /metrics.json /traces /healthz /statusz "
-              "/resolve /quitquitquit\n");
-  std::fflush(stdout);
-
-  // The port file is written after Start so a reader never sees a port
-  // that is not yet accepting connections.
-  const std::string port_file = Get(flags, "port-file");
-  if (!port_file.empty()) {
-    status = kv::WriteStringToFileSync(port_file,
-                                       std::to_string(server.port()) + "\n");
-    if (!status.ok()) return Fail(status.ToString());
-  }
-
-  const uint64_t max_seconds = GetInt(flags, "max-seconds", 0);
-  {
-    std::unique_lock<std::mutex> lock(quit_mutex);
-    if (max_seconds == 0) {
-      quit_cv.wait(lock, [&] { return quit; });
-    } else {
-      quit_cv.wait_for(lock, std::chrono::seconds(max_seconds),
-                       [&] { return quit; });
-    }
-  }
-  server.Stop();
+  const int rc = RunServer(&server, flags, "serving",
+                           "/metrics /metrics.json /traces /healthz /statusz "
+                           "/resolve");
   if (!scratch.empty()) (void)kv::RemoveDirRecursively(scratch);
-  std::printf("stopped\n");
-  return 0;
+  return rc;
 }
 
-int Api(const std::map<std::string, std::string>& flags) {
+int Api(const Flags& flags) {
   obs::MetricRegistry registry;
-  // Trace-everything defaults, like `serve`: /traces must show served and
-  // shed requests deterministically.
-  obs::Tracer::Options trace_options;
-  trace_options.sample_period =
-      static_cast<uint32_t>(GetInt(flags, "sample-period", 1));
-  trace_options.keep_period =
-      static_cast<uint32_t>(GetInt(flags, "keep-period", 1));
-  obs::Tracer tracer(trace_options);
+  obs::Tracer tracer(TraceOptions(flags));
   const auto tracer_regs = tracer.RegisterMetrics(&registry, "api");
   const auto process_regs = obs::RegisterProcessMetrics(&registry);
 
   // Optional structured request log (one JSON line per request outcome).
   std::unique_ptr<obs::RequestLog> request_log;
   std::vector<obs::Registration> request_log_regs;
-  const std::string request_log_path = Get(flags, "request-log");
+  const std::string request_log_path = flags.Get("request-log");
   if (!request_log_path.empty()) {
     obs::RequestLog::Options log_options;
     log_options.path = request_log_path;
     log_options.sample_period =
-        static_cast<uint32_t>(GetInt(flags, "log-sample-period", 1));
+        static_cast<uint32_t>(flags.GetInt("log-sample-period", 1));
     request_log = std::make_unique<obs::RequestLog>(log_options);
     request_log_regs = request_log->RegisterMetrics(&registry);
   }
 
   serve::LinkageService::Options service_options;
-  service_options.scratch_dir = Get(flags, "scratch", "/tmp/sketchlink_api");
-  service_options.max_indexes = GetInt(flags, "max-indexes", 16);
+  service_options.scratch_dir = flags.Get("scratch", "/tmp/sketchlink_api");
+  service_options.max_indexes = flags.GetInt("max-indexes", 16);
   service_options.registry = &registry;
   serve::LinkageService service(service_options);
 
   serve::Server::Options server_options;
-  server_options.loop.port = static_cast<uint16_t>(GetInt(flags, "port", 0));
-  server_options.loop.reuse_address = flags.count("reuse-addr") > 0;
-  server_options.num_workers = GetInt(flags, "workers", 2);
-  server_options.max_queue = GetInt(flags, "max-queue", 128);
-  server_options.default_deadline_ms = GetInt(flags, "deadline-ms", 5000);
+  server_options.loop = LoopOptions(flags);
+  server_options.num_workers = flags.GetInt("workers", 2);
+  server_options.max_queue = flags.GetInt("max-queue", 128);
+  server_options.default_deadline_ms = flags.GetInt("deadline-ms", 5000);
   server_options.registry = &registry;
   server_options.tracer = &tracer;
   server_options.request_log = request_log.get();
@@ -468,70 +469,58 @@ int Api(const std::map<std::string, std::string>& flags) {
   serve::Server server(server_options);
   service.RegisterRoutes(&server);
 
-  // Same telemetry surface as the scrape plane, multiplexed on this port.
-  // /statusz carries the serving-plane extras: queue/shed/SLO state from
-  // the server plus the per-tenant table from the service.
-  for (auto& [path, handler] : obs::TelemetryHandlers(
-           &registry, &tracer,
-           [&server, &service] {
-             return server.StatuszText() + service.StatuszText();
-           })) {
-    server.AddRoute("GET", path,
-                    [h = std::move(handler)](const serve::Server::Request& r) {
-                      return h(r.http);
-                    });
-  }
+  // The telemetry surface, multiplexed on this port. /statusz carries the
+  // serving-plane extras: queue/shed/SLO state from the server plus the
+  // per-tenant table from the service.
+  serve::MountTelemetryRoutes(&server, &registry, &tracer, [&server, &service] {
+    return server.StatuszText() + service.StatuszText();
+  });
 
-  std::mutex quit_mutex;
-  std::condition_variable quit_cv;
-  bool quit = false;
-  const auto quit_handler = [&](const serve::Server::Request&) {
-    {
-      std::lock_guard<std::mutex> lock(quit_mutex);
-      quit = true;
-    }
-    quit_cv.notify_all();
-    obs::HttpResponse response;
-    response.body = "bye\n";
-    return response;
-  };
-  server.AddRoute("POST", "/quitquitquit", quit_handler);
-  // GET variant so GET-only clients (metrics_dump --url) can stop the
-  // server from test scripts.
-  server.AddRoute("GET", "/quitquitquit", quit_handler);
+  return RunServer(&server, flags, "api serving",
+                   "/v1/indexes /v1/indexes/{name} "
+                   "/v1/indexes/{name}/records /v1/indexes/{name}/query "
+                   "/metrics /metrics.json /traces /healthz /statusz");
+}
 
-  const Status status = server.Start();
-  if (!status.ok()) return Fail(status.ToString());
-  std::printf("api serving on http://127.0.0.1:%u\n",
-              static_cast<unsigned>(server.port()));
-  std::printf("endpoints: /v1/indexes /v1/indexes/{name} "
-              "/v1/indexes/{name}/records /v1/indexes/{name}/query "
-              "/metrics /metrics.json /traces /healthz /statusz "
-              "/quitquitquit\n");
-  std::fflush(stdout);
+// Flags every serving command takes (TraceOptions, LoopOptions, RunServer).
+std::vector<FlagSpec> WithServingFlags(std::vector<FlagSpec> flags) {
+  flags.insert(flags.end(), {{"port", "N", 0, 65535}, {"port-file", "PATH"},
+                             {"reuse-addr", ""},
+                             {"max-seconds", "N", 0, UINT32_MAX},
+                             {"sample-period", "N", 0, UINT32_MAX},
+                             {"keep-period", "N", 0, UINT32_MAX}});
+  return flags;
+}
 
-  // Port file written after Start: a reader never sees a port that is not
-  // yet accepting connections.
-  const std::string port_file = Get(flags, "port-file");
-  if (!port_file.empty()) {
-    const Status write = kv::WriteStringToFileSync(
-        port_file, std::to_string(server.port()) + "\n");
-    if (!write.ok()) return Fail(write.ToString());
-  }
+struct Command {
+  const char* name;
+  int (*run)(const Flags&);
+  std::vector<FlagSpec> flags;
+};
 
-  const uint64_t max_seconds = GetInt(flags, "max-seconds", 0);
-  {
-    std::unique_lock<std::mutex> lock(quit_mutex);
-    if (max_seconds == 0) {
-      quit_cv.wait(lock, [&] { return quit; });
-    } else {
-      quit_cv.wait_for(lock, std::chrono::seconds(max_seconds),
-                       [&] { return quit; });
-    }
-  }
-  server.Shutdown();
-  std::printf("stopped\n");
-  return 0;
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"generate", Generate,
+       {{"kind", "NAME"}, {"entities", "N"}, {"copies", "N"},
+        {"max-ops", "N", 0, INT32_MAX}, {"seed", "N"}, {"q", "PATH"},
+        {"a", "PATH"}}},
+      {"synopsis", Synopsis,
+       {{"in", "PATH"}, {"out", "PATH"}, {"kind", "NAME"},
+        {"expected-keys", "N"}}},
+      {"overlap", Overlap, {{"a", "PATH"}, {"b", "PATH"}}},
+      {"link", Link,
+       {{"a", "PATH"}, {"q", "PATH"}, {"kind", "NAME"}, {"method", "NAME"},
+        {"blocking", "NAME"}}},
+      {"serve", Serve,
+       WithServingFlags({{"kind", "NAME"}, {"entities", "N"}, {"copies", "N"},
+                         {"seed", "N"}, {"method", "NAME"}, {"mu", "N"},
+                         {"threads", "N"}})},
+      {"api", Api,
+       WithServingFlags({{"workers", "N", 1}, {"max-queue", "N", 1},
+                         {"deadline-ms", "N", 1}, {"scratch", "PATH"},
+                         {"max-indexes", "N"}, {"request-log", "PATH"},
+                         {"log-sample-period", "N", 0, UINT32_MAX}})}};
+  return commands;
 }
 
 int Usage() {
@@ -545,14 +534,12 @@ int Usage() {
 
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  const std::string command = argv[1];
-  const auto flags = ParseFlags(argc, argv, 2);
-  if (command == "generate") return Generate(flags);
-  if (command == "synopsis") return Synopsis(flags);
-  if (command == "overlap") return Overlap(flags);
-  if (command == "link") return Link(flags);
-  if (command == "serve") return Serve(flags);
-  if (command == "api") return Api(flags);
+  const std::string name = argv[1];
+  for (const Command& command : Commands()) {
+    if (name != command.name) continue;
+    const Flags flags("sketchlink_cli " + name, command.flags, argc, argv, 2);
+    return command.run(flags);
+  }
   return Usage();
 }
 
