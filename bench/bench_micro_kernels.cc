@@ -1,7 +1,8 @@
 // Microbenchmark of the bit-parallel similarity kernels (src/simd) against
 // their scalar references (src/text): single-pair throughput for every
-// instruction-set tier this CPU can run, plus the batched routing path
-// (BatchQuery::Score) that BlockSketch/SBlockSketch use to pick a sub-block.
+// instruction-set tier this CPU can run, the batched routing path
+// (BatchQuery::Score) that BlockSketch/SBlockSketch use to pick a sub-block,
+// and the verification shape (one query field against a paper-scale block).
 // Results land in BENCH_kernels.json so kernel regressions can be scripted;
 // the end-to-end effect on the match phase is bench_table4_query_latency.
 
@@ -18,6 +19,7 @@
 #include "simd/bit_profile.h"
 #include "simd/dispatch.h"
 #include "simd/jaro_pattern.h"
+#include "simd/kernels.h"
 #include "simd/score_batch.h"
 #include "text/edit_distance.h"
 #include "text/jaro.h"
@@ -167,12 +169,13 @@ void BenchDice(BenchJsonWriter* json, const simd::KernelOps& ops,
 /// representatives. The scalar reference is the legacy per-representative
 /// JaroWinklerDistance loop with the strict-< argmin.
 void BenchBatch(BenchJsonWriter* json, const char* tier, size_t batch_size) {
-  const JaroCorpus corpus = MakeJaroCorpus(batch_size + 64, 14, 0xd4);
+  const std::vector<std::string> strings =
+      MakeStrings(batch_size + 64, 14, 0xd4);
   std::vector<simd::BatchCandidate> candidates(batch_size);
   for (size_t i = 0; i < batch_size; ++i) {
-    candidates[i] = {corpus.strings[i], &corpus.patterns[i], nullptr};
+    candidates[i] = {strings[i], nullptr};
   }
-  const std::string& query = corpus.strings[batch_size];
+  const std::string& query = strings[batch_size];
   const simd::BatchQuery batch(simd::BatchMetric::kJaroWinkler, query);
   const simd::BatchResult once = batch.Score(candidates.data(), batch_size);
   const double prune_rate =
@@ -184,7 +187,7 @@ void BenchBatch(BenchJsonWriter* json, const char* tier, size_t batch_size) {
     size_t best = SIZE_MAX;
     double best_distance = 2.0;
     for (size_t i = 0; i < batch_size; ++i) {
-      const double d = text::JaroWinklerDistance(query, corpus.strings[i]);
+      const double d = text::JaroWinklerDistance(query, strings[i]);
       if (d < best_distance) {
         best_distance = d;
         best = i;
@@ -212,10 +215,60 @@ void BenchBatch(BenchJsonWriter* json, const char* tier, size_t batch_size) {
   row.Add("prune_rate", prune_rate);
 }
 
+/// The verification shape: one query field scored against every member of
+/// a paper-scale sub-block (171 candidates, the median block of the
+/// serve_ncvr_paper_blocks workload), name-like fields of ~8 bytes.
+/// `per_pair` indexes each candidate on the call (simd::JaroWinkler, the
+/// pre-index verification cost); the kernel row binds one JaroWinklerQuery
+/// per sweep and only scans. Scalar reference: text::JaroWinkler.
+void BenchVerification(BenchJsonWriter* json, const char* tier,
+                       size_t block_size) {
+  const std::vector<std::string> strings =
+      MakeStrings(block_size + 1, 8, 0xe5);
+  const std::string& query = strings[block_size];
+  const double scalar_ns = TimeNsPerOp(block_size, [&] {
+    double sum = 0.0;
+    for (size_t i = 0; i < block_size; ++i) {
+      sum += text::JaroWinkler(query, strings[i]);
+    }
+    g_sink += sum;
+  });
+  const double per_pair_ns = TimeNsPerOp(block_size, [&] {
+    double sum = 0.0;
+    for (size_t i = 0; i < block_size; ++i) {
+      sum += simd::JaroWinkler(query, strings[i]);
+    }
+    g_sink += sum;
+  });
+  const double kernel_ns = TimeNsPerOp(block_size, [&] {
+    const simd::JaroWinklerQuery indexed(query);
+    double sum = 0.0;
+    for (size_t i = 0; i < block_size; ++i) {
+      sum += indexed.Similarity(strings[i]);
+    }
+    g_sink += sum;
+  });
+
+  char label[96];
+  std::snprintf(label, sizeof(label),
+                "verify_jw/%s n=%zu (%.2fx vs per-pair %.1f ns)", tier,
+                block_size, per_pair_ns / kernel_ns, per_pair_ns);
+  PrintRow(label, kernel_ns, "ns/candidate");
+  JsonFields& row = json->AddResult();
+  row.Add("kernel", "verify_jw");
+  row.Add("tier", tier);
+  row.Add("batch_size", static_cast<uint64_t>(block_size));
+  row.Add("kernel_ns_per_op", kernel_ns);
+  row.Add("per_pair_ns_per_op", per_pair_ns);
+  row.Add("scalar_ns_per_op", scalar_ns);
+  row.Add("speedup", scalar_ns / kernel_ns);
+}
+
 int Run() {
   Banner("micro_kernels",
          "Bit-parallel similarity kernels vs their scalar references, per\n"
-         "instruction-set tier, plus the batched sub-block routing path.");
+         "instruction-set tier, plus the batched sub-block routing path\n"
+         "and one query field verified against a paper-scale block.");
   if (!simd::KernelsEnabled()) {
     std::printf("kernels disabled via SKETCHLINK_SIMD=off; nothing to do\n");
     return 0;
@@ -224,7 +277,8 @@ int Run() {
               simd::KernelLevelName(simd::DetectedCpuLevel()));
 
   BenchJsonWriter json("kernels", /*threads=*/1);
-  for (int level = 0; level <= 2; ++level) {
+  for (int level = 0; level <= static_cast<int>(simd::KernelLevel::kAVX512);
+       ++level) {
     const auto tier = static_cast<simd::KernelLevel>(level);
     const simd::KernelOps* ops = simd::OpsForLevel(tier);
     if (ops == nullptr) continue;
@@ -239,6 +293,7 @@ int Run() {
     for (const size_t batch_size : {8, 24, 64}) {
       BenchBatch(&json, ops->name, batch_size);
     }
+    BenchVerification(&json, ops->name, /*block_size=*/171);
     simd::ResetActiveLevelForTesting();
     std::printf("\n");
   }

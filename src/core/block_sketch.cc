@@ -84,7 +84,6 @@ size_t RepSet::ApproximateHeapBytes() const {
   for (const QGramProfile& profile : rep_profiles) {
     bytes += sizeof(QGramProfile) + ProfileHeapBytes(profile);
   }
-  bytes += rep_patterns.capacity() * sizeof(simd::JaroPattern);
   bytes += rep_bits.capacity() * sizeof(simd::BitProfile);
   for (const simd::BitProfile& bits : rep_bits) {
     bytes += bits.HeapBytes();
@@ -219,27 +218,14 @@ double SketchPolicy::ScalarKeyDistance(std::string_view a,
 
 void SketchPolicy::UpdateKernelCaches(RepSet* sub, size_t replace_index,
                                       std::string_view key_values) const {
-  if (!KernelRoutingActive()) return;
-  switch (options_.distance_kind) {
-    case KeyDistanceKind::kJaroWinkler: {
-      if (replace_index == SIZE_MAX) sub->rep_patterns.emplace_back();
-      simd::JaroPattern& pattern = replace_index == SIZE_MAX
-                                       ? sub->rep_patterns.back()
-                                       : sub->rep_patterns[replace_index];
-      simd::BuildJaroPattern(key_values, &pattern);
-      break;
-    }
-    case KeyDistanceKind::kQGramDice: {
-      simd::BitProfile bits = simd::MakeBitProfile(key_values, options_.qgram);
-      if (replace_index == SIZE_MAX) {
-        sub->rep_bits.push_back(std::move(bits));
-      } else {
-        sub->rep_bits[replace_index] = std::move(bits);
-      }
-      break;
-    }
-    case KeyDistanceKind::kLevenshtein:
-      break;  // the Myers kernel needs only the strings themselves
+  // Jaro-Winkler indexes the query side and the Myers kernel needs only
+  // the strings: only the popcount Dice keeps a per-representative cache.
+  if (!KernelRoutingActive() || !UsesProfiles()) return;
+  simd::BitProfile bits = simd::MakeBitProfile(key_values, options_.qgram);
+  if (replace_index == SIZE_MAX) {
+    sub->rep_bits.push_back(std::move(bits));
+  } else {
+    sub->rep_bits[replace_index] = std::move(bits);
   }
 }
 
@@ -252,13 +238,10 @@ void SeedAnchorInto(Block* block, std::string_view key_values,
                     const BlockSketchOptions& options, bool use_profiles,
                     bool kernels, const SketchPolicy& policy) {
   block->anchor.assign(key_values);
-  if (use_profiles) block->anchor_profile = policy.MakeProfile(key_values);
+  if (!use_profiles) return;
+  block->anchor_profile = policy.MakeProfile(key_values);
   if (kernels) {
-    if (options.distance_kind == KeyDistanceKind::kJaroWinkler) {
-      simd::BuildJaroPattern(block->anchor, &block->anchor_pattern);
-    } else if (options.distance_kind == KeyDistanceKind::kQGramDice) {
-      block->anchor_bits = simd::MakeBitProfile(block->anchor, options.qgram);
-    }
+    block->anchor_bits = simd::MakeBitProfile(block->anchor, options.qgram);
   }
 }
 
@@ -288,13 +271,10 @@ void SketchPolicy::RehydrateProfiles(SketchBlock* block) const {
     }
   }
   if (!KernelRoutingActive()) return;
-  if (options_.distance_kind == KeyDistanceKind::kJaroWinkler) {
-    simd::BuildJaroPattern(block->anchor, &block->anchor_pattern);
-  } else if (options_.distance_kind == KeyDistanceKind::kQGramDice) {
+  if (UsesProfiles()) {
     block->anchor_bits = simd::MakeBitProfile(block->anchor, options_.qgram);
   }
   for (SketchSubBlock& sub : block->subs) {
-    sub.rep_patterns.clear();
     sub.rep_bits.clear();
     for (const std::string& rep : sub.representatives) {
       UpdateKernelCaches(&sub, SIZE_MAX, rep);
@@ -322,7 +302,7 @@ SketchPolicy::RouteDecision SketchPolicy::Route(
   }
   for (size_t i = 0; i < block.subs.size(); ++i) subs[i] = &block.subs[i];
   const AnchorView anchor{block.anchor, &block.anchor_profile,
-                          &block.anchor_pattern, &block.anchor_bits};
+                          &block.anchor_bits};
   return RouteView(anchor, subs, block.subs.size(), key_values);
 }
 
@@ -341,7 +321,7 @@ SketchPolicy::RouteDecision SketchPolicy::Route(
     subs[i] = block.sub(i).reps.load(std::memory_order_acquire);
   }
   const AnchorView anchor{block.anchor, &block.anchor_profile,
-                          &block.anchor_pattern, &block.anchor_bits};
+                          &block.anchor_bits};
   return RouteView(anchor, subs, block.num_subs(), key_values);
 }
 
@@ -423,8 +403,8 @@ SketchPolicy::RouteDecision SketchPolicy::RouteWithKernels(
       metric = simd::BatchMetric::kLevenshtein;
       break;
   }
-  // Query-side preprocessing happens once per routing decision, like the
-  // legacy query_profile.
+  // Query-side preprocessing happens once per routing decision: the Jaro
+  // pattern of the key values (inside BatchQuery) or their bit profile.
   simd::BitProfile query_bits;
   if (metric == simd::BatchMetric::kQGramDice) {
     query_bits = simd::MakeBitProfile(key_values, options_.qgram);
@@ -434,8 +414,7 @@ SketchPolicy::RouteDecision SketchPolicy::RouteWithKernels(
           ? simd::BatchQuery(metric, key_values, &query_bits)
           : simd::BatchQuery(metric, key_values);
 
-  const simd::BatchCandidate anchor_candidate{anchor.anchor, anchor.pattern,
-                                              anchor.bits};
+  const simd::BatchCandidate anchor_candidate{anchor.anchor, anchor.bits};
   const double anchor_distance = query.Distance(anchor_candidate);
   ++decision.comparisons;
   const double theta = std::max(options_.theta, 1e-9);
@@ -475,8 +454,6 @@ SketchPolicy::RouteDecision SketchPolicy::RouteWithKernels(
       soa.text_bytes = sub.packed.text_bytes.data();
       soa.text_offsets = sub.packed.text_offsets.data();
       soa.text_lens = sub.packed.text_lens.data();
-      soa.patterns =
-          sub.rep_patterns.size() == count ? sub.rep_patterns.data() : nullptr;
       soa.profiles =
           sub.rep_bits.size() == count ? sub.rep_bits.data() : nullptr;
       const simd::BatchResult result = query.Score(soa, best_distance);
@@ -505,12 +482,9 @@ SketchPolicy::RouteDecision SketchPolicy::RouteWithKernels(
   size_t k = 0;
   for (size_t i = 0; i < num_subs; ++i) {
     const RepSet& sub = *subs[i];
-    const bool has_patterns =
-        sub.rep_patterns.size() == sub.representatives.size();
     const bool has_bits = sub.rep_bits.size() == sub.representatives.size();
     for (size_t r = 0; r < sub.representatives.size(); ++r) {
       candidates[k].text = sub.representatives[r];
-      candidates[k].jaro = has_patterns ? &sub.rep_patterns[r] : nullptr;
       candidates[k].profile = has_bits ? &sub.rep_bits[r] : nullptr;
       ++k;
     }

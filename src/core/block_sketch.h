@@ -47,7 +47,6 @@ class SketchPolicy {
   struct AnchorView {
     std::string_view anchor;
     const QGramProfile* profile;
-    const simd::JaroPattern* pattern;
     const simd::BitProfile* bits;
   };
 
@@ -118,9 +117,9 @@ class SketchPolicy {
   void SeedAnchor(SketchBlock* block, std::string_view key_values) const;
   void SeedAnchor(PublishedBlock* block, std::string_view key_values) const;
 
-  /// Rebuilds the derived profile caches (anchor_profile, rep_profiles) of a
-  /// block that was just decoded from its serialized form. No-op under
-  /// kJaroWinkler.
+  /// Rebuilds the derived caches of a block that was just decoded from its
+  /// serialized form: the q-gram profiles and bit profiles under
+  /// kQGramDice, and the packed SoA mirror whenever kernel routing is on.
   void RehydrateProfiles(SketchBlock* block) const;
 
   /// Sorted q-gram multiset of `text` per options().qgram.
@@ -145,8 +144,8 @@ class SketchPolicy {
 
   /// True when routing may take the batched kernel path: built-in metric
   /// (no custom KeyDistanceFn) and kernels not disabled via SKETCHLINK_SIMD.
-  /// The kernel caches (rep_patterns / rep_bits) are maintained under the
-  /// same condition.
+  /// The kernel cache (rep_bits) and the packed SoA mirror are maintained
+  /// under the same condition.
   bool KernelRoutingActive() const;
 
   /// The scalar distance of the configured built-in metric (or the custom
@@ -154,7 +153,7 @@ class SketchPolicy {
   double ScalarKeyDistance(std::string_view a, std::string_view b) const;
 
   /// Appends (or replaces, when `replace_index` != SIZE_MAX) the kernel
-  /// caches of one representative.
+  /// cache of one representative (its bit profile, under kQGramDice).
   void UpdateKernelCaches(RepSet* sub, size_t replace_index,
                           std::string_view key_values) const;
 

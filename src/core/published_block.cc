@@ -113,7 +113,6 @@ SketchBlock PublishedBlock::Materialize() const {
   SketchBlock block(num_subs_);
   block.anchor = anchor;
   block.anchor_profile = anchor_profile;
-  block.anchor_pattern = anchor_pattern;
   block.anchor_bits = anchor_bits;
   for (size_t i = 0; i < num_subs_; ++i) {
     const RepSet* reps = subs_[i].reps.load(std::memory_order_acquire);
@@ -152,7 +151,6 @@ std::shared_ptr<PublishedBlock> PublishedBlock::FromSketchBlock(
   auto published = std::make_shared<PublishedBlock>(block.subs.size());
   published->anchor = std::move(block.anchor);
   published->anchor_profile = std::move(block.anchor_profile);
-  published->anchor_pattern = std::move(block.anchor_pattern);
   published->anchor_bits = std::move(block.anchor_bits);
   for (size_t i = 0; i < published->num_subs_; ++i) {
     SketchSubBlock& sub = block.subs[i];

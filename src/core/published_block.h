@@ -131,7 +131,6 @@ class PublishedBlock {
   // --- anchor section: written before publish, immutable afterwards ---
   std::string anchor;
   QGramProfile anchor_profile;
-  simd::JaroPattern anchor_pattern;
   simd::BitProfile anchor_bits;
 
   struct Sub {

@@ -15,7 +15,6 @@
 #include "common/status.h"
 #include "record/record.h"
 #include "simd/bit_profile.h"
-#include "simd/jaro_pattern.h"
 
 namespace sketchlink {
 
@@ -99,12 +98,11 @@ struct RepSet {
   /// under kJaroWinkler. Derived data — never serialized; rebuilt by
   /// SketchPolicy::RehydrateProfiles after a block is decoded.
   std::vector<QGramProfile> rep_profiles;
-  /// Kernel caches, parallel to `representatives` when the batched kernel
-  /// path is active (built-in metric + kernels enabled). rep_patterns backs
-  /// the bit-parallel Jaro (kJaroWinkler); rep_bits the popcount Dice
-  /// (kQGramDice). Derived data — never serialized; rebuilt alongside
-  /// rep_profiles.
-  std::vector<simd::JaroPattern> rep_patterns;
+  /// Kernel cache, parallel to `representatives` when the batched kernel
+  /// path is active (built-in metric + kernels enabled) under kQGramDice:
+  /// the popcount-Dice bit profiles. Jaro-Winkler and Levenshtein need no
+  /// per-representative cache (the query side carries the Jaro pattern).
+  /// Derived data — never serialized; rebuilt alongside rep_profiles.
   std::vector<simd::BitProfile> rep_bits;
   Packed packed;
 
@@ -144,8 +142,7 @@ struct SketchBlock {
   /// Cached q-gram profile of `anchor` (empty under kJaroWinkler). Derived;
   /// not serialized.
   QGramProfile anchor_profile;
-  /// Kernel caches of `anchor` (see RepSet). Derived; not serialized.
-  simd::JaroPattern anchor_pattern;
+  /// Kernel cache of `anchor` (see RepSet). Derived; not serialized.
   simd::BitProfile anchor_bits;
   std::vector<SketchSubBlock> subs;
 

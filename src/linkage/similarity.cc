@@ -1,5 +1,6 @@
 #include "linkage/similarity.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
@@ -91,6 +92,7 @@ double RecordSimilarity::Similarity(const Record& a, const Record& b) const {
 void SimilarityScorer::Bind(const RecordSimilarity& similarity,
                             const Record& query) {
   threshold_ = similarity.threshold();
+  slice_count_ = 0;
   const std::vector<FieldSpec>& specs = similarity.field_specs();
   fields_.resize(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
@@ -98,52 +100,71 @@ void SimilarityScorer::Bind(const RecordSimilarity& similarity,
     field.spec = specs[i];
     field.value.clear();
     const size_t index = static_cast<size_t>(specs[i].field_index);
+    slice_count_ = std::max(slice_count_, index + 1);
     if (index < query.fields.size()) {
       text::NormalizeFieldTo(query.fields[index], &field.value);
+    }
+    if (field.spec.comparator == FieldComparatorKind::kJaroWinkler) {
+      field.indexed.Bind(field.value);
     }
   }
 }
 
-double SimilarityScorer::Similarity(const Record& candidate) const {
+double SimilarityScorer::Compare(const QueryField& field,
+                                 const std::string& candidate) {
+  // JaroWinklerQuery == simd::JaroWinkler(query, candidate) bit for bit
+  // (Jaro is symmetric), which is what CompareFieldValues returns.
+  return field.spec.comparator == FieldComparatorKind::kJaroWinkler
+             ? field.indexed.Similarity(candidate)
+             : CompareFieldValues(field.spec.comparator, field.value,
+                                  candidate);
+}
+
+template <typename FieldAt>
+double SimilarityScorer::Score(const FieldAt& field_at,
+                               std::string* scratch) const {
   // Mirrors RecordSimilarity::Similarity exactly (same accumulation order,
-  // same empty-field conventions); only the query-side normalization is
-  // memoized.
+  // same empty-field conventions); only the query side is memoized. Each
+  // candidate field is normalized into `scratch` (NormalizeFieldTo appends
+  // the bytes NormalizeField returns), so the doubles match bit for bit.
   if (fields_.empty()) return 0.0;
   double total = 0.0;
   double total_weight = 0.0;
   for (const QueryField& field : fields_) {
+    scratch->clear();
     const size_t index = static_cast<size_t>(field.spec.field_index);
-    const std::string vb =
-        index < candidate.fields.size()
-            ? text::NormalizeField(candidate.fields[index])
-            : "";
-    total += field.spec.weight *
-             CompareFieldValues(field.spec.comparator, field.value, vb);
+    text::NormalizeFieldTo(field_at(index), scratch);
+    total += field.spec.weight * Compare(field, *scratch);
     total_weight += field.spec.weight;
   }
   return total_weight <= 0 ? 0.0 : total / total_weight;
+}
+
+double SimilarityScorer::Similarity(const Record& candidate) const {
+  std::string scratch;
+  return Score(
+      [&](size_t index) {
+        return index < candidate.fields.size()
+                   ? std::string_view(candidate.fields[index])
+                   : std::string_view();
+      },
+      &scratch);
 }
 
 double SimilarityScorer::Similarity(const RecordView& candidate,
                                     std::string* scratch) const {
-  // Same accumulation order and empty-field conventions as the Record
-  // overload; the candidate field is normalized into `scratch` instead of a
-  // fresh string (NormalizeFieldTo appends byte-identical output), so the
-  // doubles match bit for bit while a warm caller stays allocation-free.
-  if (fields_.empty()) return 0.0;
-  double total = 0.0;
-  double total_weight = 0.0;
-  for (const QueryField& field : fields_) {
-    const size_t index = static_cast<size_t>(field.spec.field_index);
-    scratch->clear();
-    if (index < candidate.num_fields()) {
-      text::NormalizeFieldTo(candidate.field(index), scratch);
-    }
-    total += field.spec.weight *
-             CompareFieldValues(field.spec.comparator, field.value, *scratch);
-    total_weight += field.spec.weight;
-  }
-  return total_weight <= 0 ? 0.0 : total / total_weight;
+  // One forward pass over the encoded fields instead of one walk from
+  // field 0 per match field; a schema wider than the stack buffer reads
+  // its far fields through field() (empty past the last field).
+  constexpr size_t kSlices = 32;
+  std::string_view slices[kSlices];
+  const size_t sliced =
+      candidate.SliceFields(slices, std::min(slice_count_, kSlices));
+  return Score(
+      [&](size_t index) {
+        return index < sliced ? slices[index] : candidate.field(index);
+      },
+      scratch);
 }
 
 std::string RecordSimilarity::KeyValues(const Record& record) const {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "record/record.h"
+#include "simd/jaro_pattern.h"
 
 namespace sketchlink {
 
@@ -70,9 +71,11 @@ double CompareFieldValues(FieldComparatorKind kind, const std::string& a,
 /// Query-side-memoized similarity: RecordSimilarity::Similarity normalizes
 /// BOTH records' fields on every call, so verifying one query against k
 /// candidates re-normalizes the query k times. A scorer normalizes the
-/// query's match fields once when bound and returns exactly
-/// RecordSimilarity::Similarity(query, candidate) afterwards. The verified
-/// query routine keeps one per thread and re-binds it to each query.
+/// query's match fields once when bound, indexes each Jaro-Winkler field
+/// once (simd::JaroWinklerQuery, so a candidate costs only the kernel
+/// scan), and returns exactly RecordSimilarity::Similarity(query,
+/// candidate) afterwards. The verified query routine keeps one per thread
+/// and re-binds it to each query.
 class SimilarityScorer {
  public:
   /// Unbound: scores 0 until Bind.
@@ -81,6 +84,11 @@ class SimilarityScorer {
   SimilarityScorer(const RecordSimilarity& similarity, const Record& query) {
     Bind(similarity, query);
   }
+
+  /// Not copyable: the bound Jaro-Winkler queries borrow the scorer's own
+  /// normalized field values.
+  SimilarityScorer(const SimilarityScorer&) = delete;
+  SimilarityScorer& operator=(const SimilarityScorer&) = delete;
 
   /// Re-targets the scorer at `query` under `similarity`, reusing its
   /// buffers: re-binding under the same similarity allocates nothing once
@@ -96,9 +104,10 @@ class SimilarityScorer {
   }
 
   /// Zero-copy variant: scores an encoded record in place (no Record
-  /// materialization). `scratch` holds the candidate-side normalized field
-  /// between comparisons so a warm caller never allocates; the doubles are
-  /// identical to Similarity(candidate.ToRecord()).
+  /// materialization), slicing its fields in one pass. `scratch` holds the
+  /// candidate-side normalized field between comparisons so a warm caller
+  /// never allocates; the doubles are identical to
+  /// Similarity(candidate.ToRecord()).
   double Similarity(const RecordView& candidate, std::string* scratch) const;
 
   bool Matches(const RecordView& candidate, std::string* scratch) const {
@@ -108,9 +117,21 @@ class SimilarityScorer {
  private:
   struct QueryField {
     FieldSpec spec;
-    std::string value;  // normalized query-side field value
+    std::string value;               // normalized query-side field value
+    simd::JaroWinklerQuery indexed;  // bound to `value` under kJaroWinkler
   };
+
+  /// One field's similarity: the indexed query under kJaroWinkler,
+  /// CompareFieldValues otherwise.
+  static double Compare(const QueryField& field, const std::string& candidate);
+
+  /// The weighted mean over the match fields; `field_at(i)` is the
+  /// candidate's raw field i (empty when it has none).
+  template <typename FieldAt>
+  double Score(const FieldAt& field_at, std::string* scratch) const;
+
   std::vector<QueryField> fields_;
+  size_t slice_count_ = 0;  // 1 + the highest match-field index
   double threshold_ = 0.0;
 };
 

@@ -101,6 +101,17 @@ std::string FormatSeconds(double seconds) {
   return buf;
 }
 
+/// Integer nanoseconds as exact decimal microseconds ("us.nnn"). A double
+/// printed with nine significant digits loses the microseconds of a steady
+/// clock past ~17 min of uptime, and children then print before their
+/// parents start.
+std::string FormatExactMicros(uint64_t nanos) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%03" PRIu64, nanos / 1000,
+                nanos % 1000);
+  return buf;
+}
+
 }  // namespace
 
 std::string ExportPrometheusText(const RegistrySnapshot& snapshot) {
@@ -212,8 +223,8 @@ std::string ExportChromeTraceJson(const std::vector<SpanRecord>& spans) {
     fields.Add("name", span.name);
     fields.Add("cat", span.category);
     fields.Add("ph", "X");  // complete event: ts + dur in one record
-    fields.Add("ts", static_cast<double>(span.start_steady_nanos) / 1000.0);
-    fields.Add("dur", static_cast<double>(span.duration_nanos) / 1000.0);
+    fields.AddRaw("ts", FormatExactMicros(span.start_steady_nanos));
+    fields.AddRaw("dur", FormatExactMicros(span.duration_nanos));
     fields.Add("pid", static_cast<uint64_t>(1));
     fields.Add("tid", static_cast<uint64_t>(span.thread_ordinal));
     JsonFields args;

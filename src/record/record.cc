@@ -1,5 +1,6 @@
 #include "record/record.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -71,6 +72,13 @@ std::string_view RecordView::field(size_t i) const {
     if (!GetLengthPrefixed(&rest, &field)) return std::string_view();
   }
   return field;
+}
+
+size_t RecordView::SliceFields(std::string_view* out, size_t n) const {
+  std::string_view rest = fields_;
+  const size_t count = std::min<size_t>(n, num_fields_);
+  for (size_t i = 0; i < count; ++i) GetLengthPrefixed(&rest, &out[i]);
+  return count;
 }
 
 Record RecordView::ToRecord() const {

@@ -56,10 +56,14 @@ class RecordView {
   uint64_t entity_id() const { return entity_id_; }
   size_t num_fields() const { return num_fields_; }
 
-  /// The i-th field, sliced from the encoded bytes (no copy). Fields are
-  /// walked from the start of the field section, so access is O(i) — fine
-  /// for the handful of fields a record carries.
+  /// The i-th field, sliced from the encoded bytes (no copy); empty past
+  /// num_fields(). Fields are walked from the start of the field section,
+  /// so access is O(i) — SliceFields reads several in one pass.
   std::string_view field(size_t i) const;
+
+  /// Slices the first min(n, num_fields()) fields into out[0..) in one
+  /// forward pass (no copy) and returns how many were written.
+  size_t SliceFields(std::string_view* out, size_t n) const;
 
   /// Materializes an owning Record (copies every field).
   Record ToRecord() const;

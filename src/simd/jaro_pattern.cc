@@ -1,5 +1,10 @@
 #include "simd/jaro_pattern.h"
 
+#include <algorithm>
+
+#include "simd/dispatch.h"
+#include "text/jaro.h"
+
 namespace sketchlink::simd {
 
 void BuildJaroPattern(std::string_view b, JaroPattern* out) {
@@ -41,6 +46,28 @@ void BuildJaroPattern(std::string_view b, JaroPattern* out) {
     out->peq_char[idx] = c;
     out->peq[idx] = out->masks[slot];
   }
+}
+
+double WinklerBoost(double jaro, std::string_view a, std::string_view b) {
+  size_t prefix = 0;
+  const size_t limit = std::min({a.size(), b.size(), size_t{4}});
+  while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
+  return jaro + static_cast<double>(prefix) * 0.1 * (1.0 - jaro);
+}
+
+void JaroWinklerQuery::Bind(std::string_view query) {
+  query_ = query;
+  ops_ = nullptr;
+  if (!KernelsEnabled() || query.size() > 64) return;
+  BuildJaroPattern(query, &pattern_);
+  if (pattern_.fits) ops_ = &Ops();
+}
+
+double JaroWinklerQuery::Jaro(std::string_view x) const {
+  // The kernel scans its first argument against the indexed second one:
+  // ops.jaro(x, query) == text::Jaro(x, query) == text::Jaro(query, x).
+  return ops_ != nullptr ? ops_->jaro(x, query_, pattern_)
+                         : text::Jaro(query_, x);
 }
 
 }  // namespace sketchlink::simd

@@ -7,6 +7,8 @@
 
 namespace sketchlink::simd {
 
+struct KernelOps;
+
 /// Positional index of one comparison side of Jaro: for each distinct byte
 /// of `b`, a 64-bit mask of the positions where it occurs. The bit-parallel
 /// Jaro kernel replaces the scalar O(window) inner scan with one mask
@@ -15,8 +17,8 @@ namespace sketchlink::simd {
 ///
 /// `fits` is false when b is longer than 64 bytes or has more than
 /// kMaxDistinct distinct bytes; callers then use the scalar text::Jaro.
-/// Fixed arrays keep the pattern heap-free so it can be cached per sketch
-/// representative (~900B, still cheaper than the q-gram profile cache).
+/// Fixed arrays keep the pattern heap-free. At ~900B it is built once per
+/// query side (JaroWinklerQuery), never stored per candidate.
 struct JaroPattern {
   static constexpr size_t kMaxDistinct = 32;
 
@@ -53,6 +55,42 @@ inline uint64_t DirectPatternLookup(const JaroPattern& pattern,
 /// Indexes `b`; sets fits=false (and leaves the arrays empty) when b does
 /// not meet the kernel's limits.
 void BuildJaroPattern(std::string_view b, JaroPattern* out);
+
+/// The Winkler step of text::JaroWinkler (standard 0.1 prefix scale) on top
+/// of the Jaro similarity of a and b. The common prefix is symmetric, so
+/// the argument order does not matter. Out of line so that it compiles
+/// under the kernel layer's -ffp-contract=off in every caller.
+double WinklerBoost(double jaro, std::string_view a, std::string_view b);
+
+/// Jaro-Winkler against one fixed query, indexed once. Jaro is symmetric
+/// bit for bit (DESIGN.md §9), so the kernel indexes the query instead of
+/// each candidate: scoring a candidate costs only the kernel scan, and
+/// candidates need no pattern of their own. Verification binds one per
+/// match field per query; routing one per decision (BatchQuery).
+class JaroWinklerQuery {
+ public:
+  JaroWinklerQuery() = default;
+  explicit JaroWinklerQuery(std::string_view query) { Bind(query); }
+
+  /// Re-targets at `query` and indexes it. Borrows the bytes: they must
+  /// stay in place while this object scores. Captures the active kernel
+  /// tier; a query the pattern cannot hold (> 64 bytes, > 32 distinct
+  /// bytes) or disabled kernels (SKETCHLINK_SIMD=off) score with text::Jaro.
+  void Bind(std::string_view query);
+
+  /// == text::Jaro(query, x), bit for bit.
+  double Jaro(std::string_view x) const;
+
+  /// == text::JaroWinkler(query, x), bit for bit.
+  double Similarity(std::string_view x) const {
+    return WinklerBoost(Jaro(x), query_, x);
+  }
+
+ private:
+  std::string_view query_;
+  const KernelOps* ops_ = nullptr;  // null: score with text::Jaro
+  JaroPattern pattern_;
+};
 
 }  // namespace sketchlink::simd
 

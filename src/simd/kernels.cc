@@ -10,19 +10,6 @@
 
 namespace sketchlink::simd {
 
-namespace {
-
-/// Winkler prefix boost on top of a Jaro similarity; the exact expression of
-/// text::JaroWinkler with the standard 0.1 scale.
-double WinklerBoost(double jaro, std::string_view a, std::string_view b) {
-  size_t prefix = 0;
-  const size_t limit = std::min({a.size(), b.size(), size_t{4}});
-  while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
-  return jaro + static_cast<double>(prefix) * 0.1 * (1.0 - jaro);
-}
-
-}  // namespace
-
 double Jaro(std::string_view a, std::string_view b) {
   if (!KernelsEnabled() || b.size() > 64) return text::Jaro(a, b);
   JaroPattern pattern;
@@ -37,12 +24,6 @@ double JaroWinkler(std::string_view a, std::string_view b) {
 
 double JaroWinklerDistance(std::string_view a, std::string_view b) {
   return 1.0 - JaroWinkler(a, b);
-}
-
-double JaroWithPattern(std::string_view a, std::string_view b,
-                       const JaroPattern& pattern) {
-  if (!KernelsEnabled()) return text::Jaro(a, b);
-  return Ops().jaro(a, b, pattern);
 }
 
 size_t Levenshtein(std::string_view a, std::string_view b) {

@@ -7,7 +7,6 @@
 namespace sketchlink::simd {
 
 struct BitProfile;
-struct JaroPattern;
 
 /// Single-pair entry points of the kernel layer. Each returns exactly the
 /// same bits as its scalar reference in src/text (differentially tested),
@@ -18,15 +17,13 @@ struct JaroPattern;
 /// == text::Jaro(a, b).
 double Jaro(std::string_view a, std::string_view b);
 
-/// == text::JaroWinkler(a, b) (standard 0.1 prefix scale).
+/// == text::JaroWinkler(a, b) (standard 0.1 prefix scale). Indexes `b` on
+/// every call; to score one string against many, bind a JaroWinklerQuery
+/// (simd/jaro_pattern.h) once instead.
 double JaroWinkler(std::string_view a, std::string_view b);
 
 /// == text::JaroWinklerDistance(a, b).
 double JaroWinklerDistance(std::string_view a, std::string_view b);
-
-/// Jaro with a caller-cached pattern for `b` (pattern->fits must be true).
-double JaroWithPattern(std::string_view a, std::string_view b,
-                       const JaroPattern& pattern);
 
 /// == text::Levenshtein(a, b), via Myers' bit-parallel recurrence.
 size_t Levenshtein(std::string_view a, std::string_view b);

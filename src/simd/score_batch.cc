@@ -3,25 +3,13 @@
 #include <algorithm>
 
 #include "simd/dispatch.h"
-#include "text/jaro.h"
 
 namespace sketchlink::simd {
 
-namespace {
-
-/// The exact Winkler expression of text::JaroWinkler (0.1 scale), applied on
-/// top of a kernel- or reference-computed Jaro.
-double WinklerDistance(double jaro, std::string_view a, std::string_view b) {
-  size_t prefix = 0;
-  const size_t limit = std::min({a.size(), b.size(), size_t{4}});
-  while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
-  return 1.0 - (jaro + static_cast<double>(prefix) * 0.1 * (1.0 - jaro));
-}
-
-}  // namespace
-
 BatchQuery::BatchQuery(BatchMetric metric, std::string_view query)
-    : metric_(metric), query_(query) {}
+    : metric_(metric), query_(query) {
+  if (metric == BatchMetric::kJaroWinkler) jaro_winkler_.Bind(query);
+}
 
 BatchQuery::BatchQuery(BatchMetric metric, std::string_view query,
                        const BitProfile* query_profile)
@@ -30,13 +18,8 @@ BatchQuery::BatchQuery(BatchMetric metric, std::string_view query,
 double BatchQuery::Distance(const BatchCandidate& candidate) const {
   const KernelOps& ops = Ops();
   switch (metric_) {
-    case BatchMetric::kJaroWinkler: {
-      const double jaro =
-          (candidate.jaro != nullptr && candidate.jaro->fits)
-              ? ops.jaro(query_, candidate.text, *candidate.jaro)
-              : text::Jaro(query_, candidate.text);
-      return WinklerDistance(jaro, query_, candidate.text);
-    }
+    case BatchMetric::kJaroWinkler:
+      return 1.0 - jaro_winkler_.Similarity(candidate.text);
     case BatchMetric::kQGramDice:
       return ops.profile_dice_distance(*query_profile_, *candidate.profile);
     case BatchMetric::kLevenshtein: {
@@ -53,14 +36,8 @@ double BatchQuery::Distance(const BatchSoA& soa, size_t i) const {
   const KernelOps& ops = Ops();
   const std::string_view text = soa.text(i);
   switch (metric_) {
-    case BatchMetric::kJaroWinkler: {
-      const JaroPattern* pattern =
-          soa.patterns != nullptr ? &soa.patterns[i] : nullptr;
-      const double jaro = (pattern != nullptr && pattern->fits)
-                              ? ops.jaro(query_, text, *pattern)
-                              : text::Jaro(query_, text);
-      return WinklerDistance(jaro, query_, text);
-    }
+    case BatchMetric::kJaroWinkler:
+      return 1.0 - jaro_winkler_.Similarity(text);
     case BatchMetric::kQGramDice:
       return ops.profile_dice_distance(*query_profile_, soa.profiles[i]);
     case BatchMetric::kLevenshtein: {

@@ -21,19 +21,17 @@ enum class BatchMetric {
   kLevenshtein,
 };
 
-/// One candidate of a batch: the representative's text plus whatever caches
-/// the sketch holds for it. A null/unfit `jaro` pattern or a null `profile`
-/// degrades that candidate to the scalar reference path — same result,
-/// just slower.
+/// One candidate of a batch: the representative's text plus, under
+/// kQGramDice, its cached q-gram profile (required there). Jaro-Winkler
+/// needs no candidate-side cache: the query carries the pattern.
 struct BatchCandidate {
   std::string_view text;
-  const JaroPattern* jaro = nullptr;
   const BitProfile* profile = nullptr;
 };
 
 /// Structure-of-arrays batch: the candidates' texts concatenated into one
-/// contiguous byte run with parallel offset/length arrays, plus dense
-/// pattern/profile arrays indexed by candidate position. This is the layout
+/// contiguous byte run with parallel offset/length arrays, plus a dense
+/// profile array indexed by candidate position. This is the layout
 /// the sketch publishes per representative set (core::RepSet::packed): the
 /// scorer streams `text_lens` straight into the length-bound kernels with
 /// no per-chunk gather, and every candidate access is a contiguous slice.
@@ -43,8 +41,7 @@ struct BatchSoA {
   const char* text_bytes = nullptr;
   const uint32_t* text_offsets = nullptr;  ///< count entries into text_bytes
   const uint32_t* text_lens = nullptr;     ///< count entries, contiguous
-  const JaroPattern* patterns = nullptr;   ///< count entries (may be null)
-  const BitProfile* profiles = nullptr;    ///< count entries (may be null)
+  const BitProfile* profiles = nullptr;    ///< count entries (kQGramDice)
 
   std::string_view text(size_t i) const {
     return std::string_view(text_bytes + text_offsets[i], text_lens[i]);
@@ -67,13 +64,14 @@ struct BatchResult {
   uint32_t pruned = 0;
 };
 
-/// A query prepared for batch evaluation: per-query state (the q-gram
-/// profile under kQGramDice) is built once, then scored against all
-/// lambda*rho sub-block representatives in one pass with length/signature
-/// early-exit pruning.
+/// A query prepared for batch evaluation: per-query state (the Jaro
+/// pattern under kJaroWinkler, the q-gram profile under kQGramDice) is
+/// built once, then scored against all lambda*rho sub-block
+/// representatives in one pass with length/signature early-exit pruning.
 class BatchQuery {
  public:
-  /// kJaroWinkler / kLevenshtein: no per-query preprocessing beyond lengths.
+  /// kJaroWinkler indexes `query` once (JaroWinklerQuery); kLevenshtein
+  /// needs nothing beyond lengths. `query` must outlive the BatchQuery.
   BatchQuery(BatchMetric metric, std::string_view query);
 
   /// kQGramDice: `query_profile` must outlive the BatchQuery (the routing
@@ -110,6 +108,7 @@ class BatchQuery {
   BatchMetric metric_;
   std::string_view query_;
   const BitProfile* query_profile_ = nullptr;
+  JaroWinklerQuery jaro_winkler_;  // bound under kJaroWinkler only
 };
 
 }  // namespace sketchlink::simd

@@ -6,7 +6,10 @@
 // the full pipeline — datagen workload -> blocking -> sketch -> engine —
 // and must produce bit-identical per-query result sets, comparison
 // counters, and quality metrics at every thread count and on every SIMD
-// dispatch tier this CPU offers (scalar through AVX-512).
+// dispatch tier this CPU offers (scalar through AVX-512). Both kernel paths
+// score Jaro-Winkler through the query's pattern (the representatives carry
+// none), so the wire test also builds a third sketch on the scalar
+// reference distance, which indexes nothing, and requires the same blocks.
 
 #include <cstddef>
 #include <memory>
@@ -146,7 +149,9 @@ struct RoutingStateGuard {
 TEST(LayoutWireEncodeTest, WireEncodesIdenticalAcrossRoutingPaths) {
   // The SoA chunk is the immutable-after-publish unit, but the wire format
   // is the classic SketchBlock encode: a sketch built on the SoA path must
-  // serialize every block bit-for-bit like one built on the gather oracle.
+  // serialize every block bit-for-bit like one built on the gather oracle,
+  // and like one routed by text::JaroWinklerDistance(key values, rep) in
+  // the scalar loop (an explicit KeyDistanceFn pins that loop).
   RoutingStateGuard guard;
   const datagen::Workload workload =
       MakeCrosscheckWorkload(DatasetKind::kNcvr);
@@ -169,23 +174,33 @@ TEST(LayoutWireEncodeTest, WireEncodesIdenticalAcrossRoutingPaths) {
     }
     SketchPolicy::SetGatherRoutingForTesting(false);
     BlockSketch soa{BlockSketchOptions()};
+    BlockSketch scalar{BlockSketchOptions(), DefaultKeyDistance()};
     for (const Record& record : workload.a.records()) {
       soa.Insert(blocker->Key(record), blocker->KeyValues(record), record.id);
+      scalar.Insert(blocker->Key(record), blocker->KeyValues(record),
+                    record.id);
     }
 
     ASSERT_EQ(soa.num_blocks(), oracle.num_blocks()) << "level=" << level;
+    ASSERT_EQ(scalar.num_blocks(), oracle.num_blocks()) << "level=" << level;
     for (const Record& record : workload.a.records()) {
       const std::string key = blocker->Key(record);
       auto oracle_block = oracle.FindBlock(key);
       auto soa_block = soa.FindBlock(key);
+      auto scalar_block = scalar.FindBlock(key);
       ASSERT_NE(oracle_block, nullptr) << "level=" << level << " key=" << key;
       ASSERT_NE(soa_block, nullptr) << "level=" << level << " key=" << key;
+      ASSERT_NE(scalar_block, nullptr) << "level=" << level << " key=" << key;
       std::string oracle_bytes;
       oracle_block->EncodeTo(&oracle_bytes);
       std::string soa_bytes;
       soa_block->EncodeTo(&soa_bytes);
       ASSERT_EQ(soa_bytes, oracle_bytes)
           << "wire encode differs, level=" << level << " key=" << key;
+      std::string scalar_bytes;
+      scalar_block->EncodeTo(&scalar_bytes);
+      ASSERT_EQ(scalar_bytes, oracle_bytes)
+          << "scalar routing differs, level=" << level << " key=" << key;
     }
   }
 }

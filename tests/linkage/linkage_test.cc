@@ -29,6 +29,79 @@ TEST(RecordSimilarityTest, IdenticalRecordsScoreOne) {
   EXPECT_TRUE(similarity.Matches(a, a));
 }
 
+TEST(SimilarityScorerTest, RecordAndViewScoresEqualTheReferenceBitForBit) {
+  // Mixed comparators over unsorted field indexes, one past the record's
+  // fields and one past the scorer's slice buffer; values the Jaro pattern
+  // cannot hold (> 64 bytes, > 32 distinct bytes) fall back exactly.
+  const std::string long_value(70, 'A');
+  std::string wide_value;
+  for (char c = '!'; c < '!' + 40; ++c) wide_value.push_back(c);
+  std::vector<std::string> base(41);
+  for (size_t i = 0; i < base.size(); ++i) {
+    base[i] = "FIELD" + std::to_string(i);
+  }
+  base[0] = "JOHNSON";
+  base[2] = "12.5";
+  base[3] = "MARY ANN SMITH";
+  base[5] = long_value;
+  base[7] = wide_value;
+  base[40] = "FARAWAY";
+  const RecordSimilarity similarity(
+      std::vector<FieldSpec>{
+          {3, FieldComparatorKind::kMongeElkan, 0.5},
+          {0, FieldComparatorKind::kJaroWinkler, 2.0},
+          {2, FieldComparatorKind::kNumeric, 1.0},
+          {5, FieldComparatorKind::kJaroWinkler, 1.0},
+          {7, FieldComparatorKind::kJaroWinkler, 1.0},
+          {1, FieldComparatorKind::kExact, 1.0},
+          {4, FieldComparatorKind::kSmithWaterman, 1.0},
+          {40, FieldComparatorKind::kJaroWinkler, 1.0},
+          {50, FieldComparatorKind::kJaroWinkler, 1.0}},
+      0.75);
+  const Record query = MakeRecord(1, 1, base);
+  std::vector<Record> candidates;
+  for (int variant = 0; variant < 4; ++variant) {
+    std::vector<std::string> fields = base;
+    fields[0] = variant % 2 == 0 ? "JONSON" : "johnson ";
+    fields[2] = variant < 2 ? "12" : "x";
+    fields[3] = "SMITH MARY";
+    fields[5] = long_value.substr(0, 60 + variant) + "B";
+    fields[7] = wide_value.substr(variant);
+    fields[40] = variant == 3 ? "FARAWAY" : "NEARBY";
+    candidates.push_back(MakeRecord(2 + variant, 2, fields));
+  }
+  candidates.push_back(MakeRecord(9, 9, {"JOHNSON"}));  // few fields
+  candidates.push_back(MakeRecord(10, 10, {}));
+
+  const SimilarityScorer scorer(similarity, query);
+  std::string scratch;
+  for (const Record& candidate : candidates) {
+    const double expected = similarity.Similarity(query, candidate);
+    EXPECT_EQ(scorer.Similarity(candidate), expected) << candidate.id;
+    std::string encoded;
+    candidate.EncodeTo(&encoded);
+    auto view = RecordView::FromEncoded(encoded);
+    ASSERT_TRUE(view.ok());
+    EXPECT_EQ(scorer.Similarity(*view, &scratch), expected) << candidate.id;
+  }
+}
+
+TEST(RecordViewTest, SliceFieldsMatchesFieldAccess) {
+  const Record record = MakeRecord(7, 7, {"A", "", "CCC", "DD"});
+  std::string encoded;
+  record.EncodeTo(&encoded);
+  auto view = RecordView::FromEncoded(encoded);
+  ASSERT_TRUE(view.ok());
+  std::string_view slices[8];
+  EXPECT_EQ(view->SliceFields(slices, 0), 0u);
+  EXPECT_EQ(view->SliceFields(slices, 2), 2u);
+  EXPECT_EQ(slices[0], "A");
+  EXPECT_EQ(slices[1], "");
+  ASSERT_EQ(view->SliceFields(slices, 8), 4u);
+  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(slices[i], view->field(i)) << i;
+  EXPECT_EQ(view->field(4), "");
+}
+
 TEST(RecordSimilarityTest, AveragesAcrossFields) {
   RecordSimilarity similarity({0, 1}, 0.75);
   const Record a = MakeRecord(1, 1, {"JAMES", "JOHNSON"});

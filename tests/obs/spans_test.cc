@@ -10,6 +10,7 @@
 #include "common/thread_pool.h"
 #include "gtest/gtest.h"
 #include "obs/export.h"
+#include "serve/json.h"
 #include "obs/trace_context.h"
 
 namespace sketchlink::obs {
@@ -369,10 +370,45 @@ TEST(ChromeTraceExportTest, Golden) {
   EXPECT_EQ(ExportChromeTraceJson({root}),
             "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n"
             "  {\"name\": \"query\", \"cat\": \"engine\", \"ph\": \"X\", "
-            "\"ts\": 2, \"dur\": 5.5, \"pid\": 1, \"tid\": 3, \"args\": "
+            "\"ts\": 2.000, \"dur\": 5.500, \"pid\": 1, \"tid\": 3, \"args\": "
             "{\"trace_id\": 7, \"span_id\": 1, \"parent_span_id\": 0, "
             "\"start_unix_micros\": 1700000000000000, \"error\": true}}\n"
             "]}\n");
+}
+
+TEST(ChromeTraceExportTest, ChildNestsInsideParentAfterLongUptime) {
+  // ~32 min of steady clock: nine significant digits of microseconds
+  // would round both starts to 10 us and print the child first.
+  SpanRecord parent;
+  parent.trace_id = 9;
+  parent.span_id = 1;
+  parent.category = "sketch";
+  parent.name = "spill_load";
+  parent.start_steady_nanos = 1'884'794'030'123;
+  parent.duration_nanos = 1'525;
+  SpanRecord child = parent;
+  child.span_id = 2;
+  child.parent_id = 1;
+  child.category = "kv";
+  child.name = "get";
+  child.start_steady_nanos = parent.start_steady_nanos + 7;
+  child.duration_nanos = 1'001;
+
+  auto parsed = serve::Json::Parse(ExportChromeTraceJson({parent, child}));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const serve::Json* events = parsed->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->array_items().size(), 2u);
+  const serve::Json& p = events->array_items()[0];
+  const serve::Json& c = events->array_items()[1];
+  ASSERT_EQ(c.Find("args")->GetUint("parent_span_id", 0),
+            p.Find("args")->GetUint("span_id", 0));
+  const double p_ts = p.GetNumber("ts", -1);
+  const double c_ts = c.GetNumber("ts", -1);
+  EXPECT_EQ(p_ts, 1884794030.123);
+  EXPECT_EQ(p.GetNumber("dur", -1), 1.525);
+  EXPECT_GT(c_ts, p_ts);
+  EXPECT_LT(c_ts + c.GetNumber("dur", -1), p_ts + p.GetNumber("dur", -1));
 }
 
 TEST(ChromeTraceExportTest, EmptyGolden) {

@@ -1,9 +1,12 @@
 // Differential property harness for the src/simd kernel layer: every kernel
-// tier this CPU can run (scalar, SSE4.2, AVX2) must return *bit-identical*
-// results to the scalar references in src/text, across randomized corpora of
-// ASCII, arbitrary-byte (UTF-8-ish), long, short, empty, and all-equal
-// strings. The RNG seed is logged on every run and can be pinned with
-// SKETCHLINK_TEST_SEED, so any failure is replayable.
+// tier this CPU can run (scalar, SSE4.2, AVX2, AVX-512) must return
+// *bit-identical* results to the scalar references in src/text, across
+// randomized corpora of ASCII, arbitrary-byte (UTF-8-ish), long, short,
+// empty, and all-equal strings. It also holds the proof obligation of the
+// query-side Jaro index: Jaro(a, b) == Jaro(b, a) bit for bit, on the
+// reference and on every tier, so simd::JaroWinklerQuery may index the query
+// and scan the candidate. The RNG seed is logged on every run and can be
+// pinned with SKETCHLINK_TEST_SEED, so any failure is replayable.
 
 #include <algorithm>
 #include <cstdint>
@@ -40,7 +43,9 @@ constexpr size_t kBlockedMyersPairs = 20000;
 constexpr size_t kBoundedPairs = 100000;
 constexpr size_t kDiceIters = 50000;      // x6 q values = 300k pairs
 constexpr size_t kPruneBoundPairs = 100000;
-constexpr size_t kBatchIters = 3000;      // x3 tiers, >= 1 candidate each
+constexpr size_t kBatchIters = 3000;      // x each tier, >= 1 candidate each
+constexpr size_t kSymmetryPairs = 1000000;
+constexpr size_t kUnfitQueryPairs = 50000;
 
 size_t g_pairs = 0;
 
@@ -56,9 +61,11 @@ uint64_t TestSeed() {
   return seed;
 }
 
+constexpr int kMaxLevel = static_cast<int>(simd::KernelLevel::kAVX512);
+
 std::vector<const simd::KernelOps*> AllTiers() {
   std::vector<const simd::KernelOps*> tiers;
-  for (int level = 0; level <= 2; ++level) {
+  for (int level = 0; level <= kMaxLevel; ++level) {
     const simd::KernelOps* ops =
         simd::OpsForLevel(static_cast<simd::KernelLevel>(level));
     if (ops != nullptr) tiers.push_back(ops);
@@ -304,15 +311,16 @@ TEST(KernelDifferentialTest, PruneBoundsNeverExceedExactDistances) {
 TEST(KernelDifferentialTest, BatchScoreEqualsScalarArgminScan) {
   Rng rng(TestSeed() ^ 0xba7c4ULL);
   // Every dispatch tier must produce the same argmin as a plain scalar scan
-  // with the strict `<` update rule of SketchPolicy::ChooseSubBlock.
-  for (int level = 0; level <= 2; ++level) {
+  // with the strict `<` update rule of SketchPolicy::ChooseSubBlock. The
+  // candidates carry no Jaro pattern: the kJaroWinkler query indexes itself,
+  // and its distances must equal the rep-side scalar reference.
+  for (int level = 0; level <= kMaxLevel; ++level) {
     const simd::KernelLevel requested = static_cast<simd::KernelLevel>(level);
     if (simd::OpsForLevel(requested) == nullptr) continue;
     ASSERT_EQ(simd::SetActiveLevelForTesting(requested), requested);
     for (size_t iter = 0; iter < kBatchIters; ++iter) {
       const size_t n = 1 + rng.UniformIndex(24);
       std::vector<std::string> reps;
-      std::vector<simd::JaroPattern> patterns(n);
       std::vector<simd::BitProfile> profiles(n);
       auto [query, first] = RandomPair(rng, 40);
       reps.push_back(first);
@@ -321,14 +329,19 @@ TEST(KernelDifferentialTest, BatchScoreEqualsScalarArgminScan) {
       }
       std::vector<simd::BatchCandidate> candidates(n);
       for (size_t i = 0; i < n; ++i) {
-        simd::BuildJaroPattern(reps[i], &patterns[i]);
         profiles[i] = simd::MakeBitProfile(reps[i], 2);
-        candidates[i] = {reps[i], &patterns[i], &profiles[i]};
+        candidates[i] = {reps[i], &profiles[i]};
       }
       const simd::BitProfile query_profile = simd::MakeBitProfile(query, 2);
       g_pairs += n;
 
       const simd::BatchQuery jw(simd::BatchMetric::kJaroWinkler, query);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(text::JaroWinklerDistance(query, reps[i]),
+                  jw.Distance(candidates[i]))
+            << "level=" << level << " query=\"" << query << "\" rep=\""
+            << reps[i] << "\"";
+      }
       const simd::BatchQuery dice(simd::BatchMetric::kQGramDice, query,
                                   &query_profile);
       const simd::BatchQuery lev(simd::BatchMetric::kLevenshtein, query);
@@ -355,6 +368,161 @@ TEST(KernelDifferentialTest, BatchScoreEqualsScalarArgminScan) {
   simd::ResetActiveLevelForTesting();
 }
 
+/// Checks one pair both ways: text::Jaro is symmetric bit for bit, every
+/// tier's kernel returns the same double whichever side it indexes, and a
+/// query object bound to either side (per tier) returns
+/// text::JaroWinkler(a, b). An unfit side (> 64 bytes, > 32 distinct bytes)
+/// only skips the kernel calls that need its pattern.
+void ExpectSymmetric(const std::string& a, const std::string& b,
+                     const std::vector<const simd::KernelOps*>& tiers) {
+  const double jaro = text::Jaro(a, b);
+  ASSERT_EQ(jaro, text::Jaro(b, a)) << "\"" << a << "\" / \"" << b << "\"";
+  const double jaro_winkler = text::JaroWinkler(a, b);
+  simd::JaroPattern pa;
+  simd::JaroPattern pb;
+  simd::BuildJaroPattern(a, &pa);
+  simd::BuildJaroPattern(b, &pb);
+  for (const simd::KernelOps* ops : tiers) {
+    if (pb.fits) {
+      ASSERT_EQ(jaro, ops->jaro(a, b, pb))
+          << ops->name << " \"" << a << "\" / \"" << b << "\"";
+    }
+    if (pa.fits) {
+      ASSERT_EQ(jaro, ops->jaro(b, a, pa))
+          << ops->name << " \"" << b << "\" / \"" << a << "\"";
+    }
+  }
+  for (int level = 0; level <= kMaxLevel; ++level) {
+    const auto tier = static_cast<simd::KernelLevel>(level);
+    if (simd::OpsForLevel(tier) == nullptr) continue;
+    simd::SetActiveLevelForTesting(tier);
+    const simd::JaroWinklerQuery query_a(a);
+    const simd::JaroWinklerQuery query_b(b);
+    simd::ResetActiveLevelForTesting();
+    ASSERT_EQ(jaro, query_a.Jaro(b)) << "level=" << level;
+    ASSERT_EQ(jaro, query_b.Jaro(a)) << "level=" << level;
+    ASSERT_EQ(jaro_winkler, query_a.Similarity(b))
+        << "level=" << level << " \"" << a << "\" / \"" << b << "\"";
+    ASSERT_EQ(jaro_winkler, query_b.Similarity(a))
+        << "level=" << level << " \"" << b << "\" / \"" << a << "\"";
+  }
+}
+
+TEST(JaroSymmetryTest, ExhaustiveOverThreeLettersUpToLengthSeven) {
+  // Every string over {A, B, C} of length 0..7 (3280 strings) against every
+  // other, unordered: 5.4M pairs, each checked both ways.
+  std::vector<std::string> strings{std::string()};
+  for (size_t begin = 0; strings.back().size() < 7;) {
+    const size_t end = strings.size();
+    for (size_t i = begin; i < end; ++i) {
+      for (const char c : {'A', 'B', 'C'}) strings.push_back(strings[i] + c);
+    }
+    begin = end;
+  }
+  ASSERT_EQ(strings.size(), 3280u);
+  const auto tiers = AllTiers();
+  // Bind every string once per tier up front; ExpectSymmetric's per-pair
+  // binding would dominate at this pair count.
+  std::vector<std::vector<simd::JaroWinklerQuery>> queries;
+  for (int level = 0; level <= kMaxLevel; ++level) {
+    const auto tier = static_cast<simd::KernelLevel>(level);
+    if (simd::OpsForLevel(tier) == nullptr) continue;
+    simd::SetActiveLevelForTesting(tier);
+    queries.emplace_back(strings.size());
+    for (size_t i = 0; i < strings.size(); ++i) {
+      queries.back()[i].Bind(strings[i]);
+    }
+  }
+  simd::ResetActiveLevelForTesting();
+  ASSERT_EQ(queries.size(), tiers.size());
+  std::vector<simd::JaroPattern> patterns(strings.size());
+  for (size_t i = 0; i < strings.size(); ++i) {
+    simd::BuildJaroPattern(strings[i], &patterns[i]);
+    ASSERT_TRUE(patterns[i].fits);
+  }
+  for (size_t i = 0; i < strings.size(); ++i) {
+    const std::string& a = strings[i];
+    for (size_t j = i; j < strings.size(); ++j) {
+      const std::string& b = strings[j];
+      const double jaro = text::Jaro(a, b);
+      ASSERT_EQ(jaro, text::Jaro(b, a)) << a << " / " << b;
+      const double jaro_winkler = text::JaroWinkler(a, b);
+      for (size_t t = 0; t < tiers.size(); ++t) {
+        ASSERT_EQ(jaro, tiers[t]->jaro(a, b, patterns[j]))
+            << tiers[t]->name << " " << a << " / " << b;
+        ASSERT_EQ(jaro, tiers[t]->jaro(b, a, patterns[i]))
+            << tiers[t]->name << " " << b << " / " << a;
+        ASSERT_EQ(jaro_winkler, queries[t][i].Similarity(b))
+            << tiers[t]->name << " " << a << " / " << b;
+        ASSERT_EQ(jaro_winkler, queries[t][j].Similarity(a))
+            << tiers[t]->name << " " << b << " / " << a;
+      }
+    }
+  }
+}
+
+TEST(JaroSymmetryTest, RandomPairsIncludingNearCopies) {
+  // Lengths 0..64 over name-like, byte, two-letter and one-letter
+  // alphabets; RandomPair makes near-copies (the record-linkage case) for a
+  // quarter of the pairs, and byte strings overflow the 32-slot pattern.
+  Rng rng(TestSeed() ^ 0x5e77e7ULL);
+  const auto tiers = AllTiers();
+  for (size_t iter = 0; iter < kSymmetryPairs; ++iter) {
+    const auto [a, b] = RandomPair(rng, 64);
+    ++g_pairs;
+    ExpectSymmetric(a, b, tiers);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(JaroSymmetryTest, QueriesThePatternCannotHoldFallBackExactly) {
+  // Queries longer than 64 bytes or with more than 32 distinct bytes score
+  // through text::Jaro; candidates of any length scan against a fitting
+  // query. Both must still equal text::JaroWinkler(query, candidate).
+  Rng rng(TestSeed() ^ 0x0f17ULL);
+  const auto tiers = AllTiers();
+  size_t long_queries = 0;
+  size_t wide_queries = 0;
+  for (size_t iter = 0; iter < kUnfitQueryPairs; ++iter) {
+    std::string query;
+    std::string candidate;
+    switch (iter % 3) {
+      case 0: {  // long: a name-like run past the 64-bit window
+        auto pair = RandomPair(rng, 64);
+        query = RandomString(rng, 65 + rng.UniformIndex(100),
+                             Alphabet::kLowercase);
+        candidate = rng.CoinFlip() ? pair.second : query.substr(0, 70);
+        ++long_queries;
+        break;
+      }
+      case 1: {  // wide: 33+ distinct bytes within 64 positions
+        const size_t width = 33 + rng.UniformIndex(32);
+        std::string wide;
+        for (size_t c = 0; c < width; ++c) {
+          wide.push_back(static_cast<char>('!' + c));
+        }
+        query = wide;
+        candidate = rng.CoinFlip() ? RandomPair(rng, 64).second : wide;
+        if (!candidate.empty() && rng.CoinFlip()) candidate.erase(0, 1);
+        ++wide_queries;
+        break;
+      }
+      default:  // fitting query, candidate past 64 bytes
+        query = RandomString(rng, rng.UniformIndex(41), Alphabet::kLowercase);
+        candidate = query + RandomString(rng, 65, Alphabet::kLowercase);
+        break;
+    }
+    simd::JaroPattern pattern;
+    simd::BuildJaroPattern(query, &pattern);
+    ASSERT_EQ(pattern.fits, iter % 3 == 2);
+    ++g_pairs;
+    ExpectSymmetric(query, candidate, tiers);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(long_queries, 0u);
+  EXPECT_GT(wide_queries, 0u);
+}
+
 TEST(KernelDifferentialTest, HarnessMetMillionPairBudget) {
   // Static sum of the per-test budgets above (every test iterates exactly
   // its constant; the batch test contributes at least one pair per iter per
@@ -363,7 +531,8 @@ TEST(KernelDifferentialTest, HarnessMetMillionPairBudget) {
   constexpr size_t kSuitePairs = kJaroPairs + kJaroFallbackPairs +
                                  kMyersPairs + kBlockedMyersPairs +
                                  kBoundedPairs + kDiceIters * 6 +
-                                 kPruneBoundPairs + kBatchIters * 3;
+                                 kPruneBoundPairs + kBatchIters * 3 +
+                                 kSymmetryPairs + kUnfitQueryPairs;
   static_assert(kSuitePairs >= 1000000u,
                 "the differential harness is sized to prove >= 1M pairs");
   EXPECT_GE(kSuitePairs, 1000000u);
