@@ -1,12 +1,11 @@
 // Microbenchmark of the bit-parallel similarity kernels (src/simd) against
-// their scalar references (src/text): single-pair throughput for every
-// instruction-set tier this CPU can run, the batched routing path
-// (BatchQuery::Score) that BlockSketch/SBlockSketch use to pick a sub-block,
-// and the verification shape (one query field against a paper-scale block).
+// their scalar references (src/text): one row per single-pair kernel, the
+// batched routing path (BatchQuery::Score) that BlockSketch/SBlockSketch use
+// to pick a sub-block, and the verification shape (one query field against a
+// paper-scale block).
 // Results land in BENCH_kernels.json so kernel regressions can be scripted;
 // the end-to-end effect on the match phase is bench_table4_query_latency.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -15,9 +14,7 @@
 #include "bench_json.h"
 #include "bench_util.h"
 #include "common/random.h"
-#include "core/block_sketch.h"
 #include "simd/bit_profile.h"
-#include "simd/dispatch.h"
 #include "simd/jaro_pattern.h"
 #include "simd/kernels.h"
 #include "simd/score_batch.h"
@@ -62,16 +59,15 @@ double TimeNsPerOp(size_t ops_per_sweep, Fn&& sweep) {
   return elapsed * 1e9 / static_cast<double>(sweeps * ops_per_sweep);
 }
 
-void Report(BenchJsonWriter* json, const char* kernel, const char* tier,
-            size_t length, double kernel_ns, double scalar_ns) {
+void Report(BenchJsonWriter* json, const char* kernel, size_t length,
+            double kernel_ns, double scalar_ns) {
   const double speedup = scalar_ns / kernel_ns;
   char label[96];
-  std::snprintf(label, sizeof(label), "%s/%s len=%zu (%.2fx)", kernel, tier,
-                length, speedup);
+  std::snprintf(label, sizeof(label), "%s len=%zu (%.2fx)", kernel, length,
+                speedup);
   PrintRow(label, kernel_ns, "ns/op");
   JsonFields& row = json->AddResult();
   row.Add("kernel", kernel);
-  row.Add("tier", tier);
   row.Add("length", static_cast<uint64_t>(length));
   row.Add("kernel_ns_per_op", kernel_ns);
   row.Add("scalar_ns_per_op", scalar_ns);
@@ -93,8 +89,7 @@ JaroCorpus MakeJaroCorpus(size_t count, size_t length, uint64_t seed) {
   return corpus;
 }
 
-void BenchJaro(BenchJsonWriter* json, const simd::KernelOps& ops,
-               size_t length) {
+void BenchJaro(BenchJsonWriter* json, size_t length) {
   const JaroCorpus corpus = MakeJaroCorpus(512, length, 0xa1 + length);
   const size_t n = corpus.strings.size();
   const double scalar_ns = TimeNsPerOp(n, [&] {
@@ -108,16 +103,15 @@ void BenchJaro(BenchJsonWriter* json, const simd::KernelOps& ops,
     double sum = 0.0;
     for (size_t i = 0; i < n; ++i) {
       const size_t j = (i + 1) % n;
-      sum += ops.jaro(corpus.strings[i], corpus.strings[j],
-                      corpus.patterns[j]);
+      sum += simd::Jaro(corpus.strings[i], corpus.strings[j],
+                        corpus.patterns[j]);
     }
     g_sink += sum;
   });
-  Report(json, "jaro", ops.name, length, kernel_ns, scalar_ns);
+  Report(json, "jaro", length, kernel_ns, scalar_ns);
 }
 
-void BenchLevenshtein(BenchJsonWriter* json, const simd::KernelOps& ops,
-                      size_t length) {
+void BenchLevenshtein(BenchJsonWriter* json, size_t length) {
   const auto strings = MakeStrings(512, length, 0xb2 + length);
   const size_t n = strings.size();
   const double scalar_ns = TimeNsPerOp(n, [&] {
@@ -130,45 +124,41 @@ void BenchLevenshtein(BenchJsonWriter* json, const simd::KernelOps& ops,
   const double kernel_ns = TimeNsPerOp(n, [&] {
     size_t sum = 0;
     for (size_t i = 0; i < n; ++i) {
-      sum += ops.levenshtein(strings[i], strings[(i + 1) % n]);
+      sum += simd::Levenshtein(strings[i], strings[(i + 1) % n]);
     }
     g_sink += static_cast<double>(sum);
   });
-  Report(json, "levenshtein", ops.name, length, kernel_ns, scalar_ns);
+  Report(json, "levenshtein", length, kernel_ns, scalar_ns);
 }
 
-void BenchDice(BenchJsonWriter* json, const simd::KernelOps& ops,
-               size_t length, size_t q) {
+/// The kernel scores cached profiles; the reference tokenizes both strings
+/// on every call (1 - text::QGramDice), which is what the cache saves.
+void BenchDice(BenchJsonWriter* json, size_t length, size_t q) {
   const auto strings = MakeStrings(512, length, 0xc3 + length);
   const size_t n = strings.size();
-  std::vector<QGramProfile> legacy(n);
   std::vector<simd::BitProfile> bits(n);
-  for (size_t i = 0; i < n; ++i) {
-    legacy[i] = text::QGrams(strings[i], q);
-    std::sort(legacy[i].begin(), legacy[i].end());
-    bits[i] = simd::MakeBitProfile(strings[i], q);
-  }
+  for (size_t i = 0; i < n; ++i) bits[i] = simd::MakeBitProfile(strings[i], q);
   const double scalar_ns = TimeNsPerOp(n, [&] {
     double sum = 0.0;
     for (size_t i = 0; i < n; ++i) {
-      sum += SketchPolicy::ProfileDistance(legacy[i], legacy[(i + 1) % n]);
+      sum += 1.0 - text::QGramDice(strings[i], strings[(i + 1) % n], q);
     }
     g_sink += sum;
   });
   const double kernel_ns = TimeNsPerOp(n, [&] {
     double sum = 0.0;
     for (size_t i = 0; i < n; ++i) {
-      sum += ops.profile_dice_distance(bits[i], bits[(i + 1) % n]);
+      sum += simd::ProfileDiceDistance(bits[i], bits[(i + 1) % n]);
     }
     g_sink += sum;
   });
-  Report(json, "profile_dice", ops.name, length, kernel_ns, scalar_ns);
+  Report(json, "profile_dice", length, kernel_ns, scalar_ns);
 }
 
 /// The routing shape: one query scored against lambda*rho cached
 /// representatives. The scalar reference is the legacy per-representative
 /// JaroWinklerDistance loop with the strict-< argmin.
-void BenchBatch(BenchJsonWriter* json, const char* tier, size_t batch_size) {
+void BenchBatch(BenchJsonWriter* json, size_t batch_size) {
   const std::vector<std::string> strings =
       MakeStrings(batch_size + 64, 14, 0xd4);
   std::vector<simd::BatchCandidate> candidates(batch_size);
@@ -202,12 +192,11 @@ void BenchBatch(BenchJsonWriter* json, const char* tier, size_t batch_size) {
 
   const double speedup = scalar_ns / kernel_ns;
   char label[96];
-  std::snprintf(label, sizeof(label), "score_batch/%s n=%zu (%.2fx)", tier,
-                batch_size, speedup);
+  std::snprintf(label, sizeof(label), "score_batch n=%zu (%.2fx)", batch_size,
+                speedup);
   PrintRow(label, kernel_ns, "ns/candidate");
   JsonFields& row = json->AddResult();
   row.Add("kernel", "score_batch_jw");
-  row.Add("tier", tier);
   row.Add("batch_size", static_cast<uint64_t>(batch_size));
   row.Add("kernel_ns_per_op", kernel_ns);
   row.Add("scalar_ns_per_op", scalar_ns);
@@ -221,8 +210,7 @@ void BenchBatch(BenchJsonWriter* json, const char* tier, size_t batch_size) {
 /// `per_pair` indexes each candidate on the call (simd::JaroWinkler, the
 /// pre-index verification cost); the kernel row binds one JaroWinklerQuery
 /// per sweep and only scans. Scalar reference: text::JaroWinkler.
-void BenchVerification(BenchJsonWriter* json, const char* tier,
-                       size_t block_size) {
+void BenchVerification(BenchJsonWriter* json, size_t block_size) {
   const std::vector<std::string> strings =
       MakeStrings(block_size + 1, 8, 0xe5);
   const std::string& query = strings[block_size];
@@ -251,12 +239,11 @@ void BenchVerification(BenchJsonWriter* json, const char* tier,
 
   char label[96];
   std::snprintf(label, sizeof(label),
-                "verify_jw/%s n=%zu (%.2fx vs per-pair %.1f ns)", tier,
-                block_size, per_pair_ns / kernel_ns, per_pair_ns);
+                "verify_jw n=%zu (%.2fx vs per-pair %.1f ns)", block_size,
+                per_pair_ns / kernel_ns, per_pair_ns);
   PrintRow(label, kernel_ns, "ns/candidate");
   JsonFields& row = json->AddResult();
   row.Add("kernel", "verify_jw");
-  row.Add("tier", tier);
   row.Add("batch_size", static_cast<uint64_t>(block_size));
   row.Add("kernel_ns_per_op", kernel_ns);
   row.Add("per_pair_ns_per_op", per_pair_ns);
@@ -266,37 +253,16 @@ void BenchVerification(BenchJsonWriter* json, const char* tier,
 
 int Run() {
   Banner("micro_kernels",
-         "Bit-parallel similarity kernels vs their scalar references, per\n"
-         "instruction-set tier, plus the batched sub-block routing path\n"
-         "and one query field verified against a paper-scale block.");
-  if (!simd::KernelsEnabled()) {
-    std::printf("kernels disabled via SKETCHLINK_SIMD=off; nothing to do\n");
-    return 0;
-  }
-  std::printf("detected CPU tier: %s\n\n",
-              simd::KernelLevelName(simd::DetectedCpuLevel()));
+         "Bit-parallel similarity kernels vs their scalar references, plus\n"
+         "the batched sub-block routing path and one query field verified\n"
+         "against a paper-scale block.");
 
   BenchJsonWriter json("kernels", /*threads=*/1);
-  for (int level = 0; level <= static_cast<int>(simd::KernelLevel::kAVX512);
-       ++level) {
-    const auto tier = static_cast<simd::KernelLevel>(level);
-    const simd::KernelOps* ops = simd::OpsForLevel(tier);
-    if (ops == nullptr) continue;
-    for (const size_t length : {8, 16, 32}) BenchJaro(&json, *ops, length);
-    for (const size_t length : {16, 48, 200}) {
-      BenchLevenshtein(&json, *ops, length);
-    }
-    BenchDice(&json, *ops, /*length=*/16, /*q=*/2);
-
-    // Score the batch with this tier active (Score dispatches internally).
-    simd::SetActiveLevelForTesting(tier);
-    for (const size_t batch_size : {8, 24, 64}) {
-      BenchBatch(&json, ops->name, batch_size);
-    }
-    BenchVerification(&json, ops->name, /*block_size=*/171);
-    simd::ResetActiveLevelForTesting();
-    std::printf("\n");
-  }
+  for (const size_t length : {8, 16, 32}) BenchJaro(&json, length);
+  for (const size_t length : {16, 48, 200}) BenchLevenshtein(&json, length);
+  BenchDice(&json, /*length=*/16, /*q=*/2);
+  for (const size_t batch_size : {8, 24, 64}) BenchBatch(&json, batch_size);
+  BenchVerification(&json, /*block_size=*/171);
   if (!json.Finish()) return 1;
   if (g_sink == 12345.6789) std::printf("sink %f\n", g_sink);
   return 0;

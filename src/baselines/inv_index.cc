@@ -3,9 +3,8 @@
 #include <algorithm>
 
 #include "common/memory_tracker.h"
+#include "simd/jaro_pattern.h"
 #include "text/double_metaphone.h"
-#include "simd/kernels.h"
-#include "text/jaro.h"
 #include "text/normalize.h"
 
 namespace sketchlink {
@@ -51,8 +50,9 @@ Status InvIndexMatcher::Insert(const Record& record,
     const std::string code = BucketCode(value);
     std::vector<std::string>& bucket = code_buckets_[code];
     auto& row = sim_cache_[value];
+    const simd::JaroWinklerQuery indexed(value);
     for (const std::string& other : bucket) {
-      const double sim = simd::JaroWinkler(value, other);
+      const double sim = indexed.Similarity(other);
       row[other] = sim;
       sim_cache_[other][value] = sim;
       ++build_comparisons_;
@@ -88,6 +88,7 @@ Result<std::vector<RecordId>> InvIndexMatcher::Resolve(
     const auto* row = row_it == sim_cache_.end() ? nullptr : &row_it->second;
     // Best contribution of this query field per record.
     std::unordered_map<RecordId, double> field_best;
+    const simd::JaroWinklerQuery indexed(value);
     for (const std::string& other : bucket_it->second) {
       double sim;
       if (value == other) {
@@ -101,7 +102,7 @@ Result<std::vector<RecordId>> InvIndexMatcher::Resolve(
           sim = *entry;
           ++cache_hits_;
         } else {
-          sim = simd::JaroWinkler(value, other);
+          sim = indexed.Similarity(other);
           ++query_comparisons_;
         }
       }

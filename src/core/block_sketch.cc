@@ -7,11 +7,8 @@
 #include "common/coding.h"
 #include "common/memory_tracker.h"
 #include "obs/spans.h"
-#include "simd/dispatch.h"
 #include "simd/score_batch.h"
-#include "text/edit_distance.h"
 #include "text/jaro.h"
-#include "text/qgram.h"
 
 namespace sketchlink {
 
@@ -34,12 +31,6 @@ size_t SketchBlock::TotalMembers() const {
 }
 
 namespace {
-
-size_t ProfileHeapBytes(const QGramProfile& profile) {
-  size_t bytes = profile.capacity() * sizeof(std::string);
-  for (const std::string& gram : profile) bytes += StringHeapBytes(gram);
-  return bytes;
-}
 
 /// Builds the per-sub RepSet pointer array for routing, spilling to the
 /// heap only past kInlineSubs sub-blocks (lambda is small in practice).
@@ -81,9 +72,6 @@ size_t RepSet::ApproximateHeapBytes() const {
   for (const std::string& rep : representatives) {
     bytes += StringHeapBytes(rep);
   }
-  for (const QGramProfile& profile : rep_profiles) {
-    bytes += sizeof(QGramProfile) + ProfileHeapBytes(profile);
-  }
   bytes += rep_bits.capacity() * sizeof(simd::BitProfile);
   for (const simd::BitProfile& bits : rep_bits) {
     bytes += bits.HeapBytes();
@@ -93,7 +81,6 @@ size_t RepSet::ApproximateHeapBytes() const {
 
 size_t SketchBlock::ApproximateMemoryUsage() const {
   size_t bytes = sizeof(*this) + StringHeapBytes(anchor) +
-                 ProfileHeapBytes(anchor_profile) +
                  subs.capacity() * sizeof(SketchSubBlock);
   bytes += anchor_bits.HeapBytes();
   for (const SketchSubBlock& sub : subs) {
@@ -161,66 +148,15 @@ SketchPolicy::SketchPolicy(const BlockSketchOptions& options,
       distance_(std::move(distance)),
       rng_(options.seed ^ 0x7e97e9ULL) {}
 
-QGramProfile SketchPolicy::MakeProfile(std::string_view text) const {
-  QGramProfile profile = text::QGrams(text, options_.qgram);
-  std::sort(profile.begin(), profile.end());
-  return profile;
-}
-
-double SketchPolicy::ProfileDistance(const QGramProfile& a,
-                                     const QGramProfile& b) {
-  // Multiset Dice over pre-sorted profiles; mirrors text::QGramDice exactly
-  // (including its empty-string conventions) without re-tokenizing.
-  if (a.empty() && b.empty()) return 0.0;
-  if (a.empty() || b.empty()) return 1.0;
-  size_t common = 0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    const int cmp = a[i].compare(b[j]);
-    if (cmp < 0) {
-      ++i;
-    } else if (cmp > 0) {
-      ++j;
-    } else {
-      ++common;
-      ++i;
-      ++j;
-    }
-  }
-  const double dice = 2.0 * static_cast<double>(common) /
-                      static_cast<double>(a.size() + b.size());
-  return 1.0 - dice;
-}
-
 void SketchPolicy::SetGatherRoutingForTesting(bool force) {
   g_force_gather_routing.store(force, std::memory_order_relaxed);
-}
-
-bool SketchPolicy::KernelRoutingActive() const {
-  return !distance_ && simd::KernelsEnabled();
-}
-
-double SketchPolicy::ScalarKeyDistance(std::string_view a,
-                                       std::string_view b) const {
-  if (distance_) return distance_(a, b);
-  switch (options_.distance_kind) {
-    case KeyDistanceKind::kJaroWinkler:
-      return text::JaroWinklerDistance(a, b);
-    case KeyDistanceKind::kQGramDice:
-      // Unreachable: kQGramDice routes through the profile caches.
-      return 1.0 - text::QGramDice(a, b, options_.qgram);
-    case KeyDistanceKind::kLevenshtein:
-      return text::NormalizedLevenshteinDistance(a, b);
-  }
-  return 0.0;
 }
 
 void SketchPolicy::UpdateKernelCaches(RepSet* sub, size_t replace_index,
                                       std::string_view key_values) const {
   // Jaro-Winkler indexes the query side and the Myers kernel needs only
   // the strings: only the popcount Dice keeps a per-representative cache.
-  if (!KernelRoutingActive() || !UsesProfiles()) return;
+  if (!CachesBitProfiles()) return;
   simd::BitProfile bits = simd::MakeBitProfile(key_values, options_.qgram);
   if (replace_index == SIZE_MAX) {
     sub->rep_bits.push_back(std::move(bits));
@@ -235,12 +171,9 @@ namespace {
 /// names by design).
 template <typename Block>
 void SeedAnchorInto(Block* block, std::string_view key_values,
-                    const BlockSketchOptions& options, bool use_profiles,
-                    bool kernels, const SketchPolicy& policy) {
+                    const BlockSketchOptions& options, bool with_bits) {
   block->anchor.assign(key_values);
-  if (!use_profiles) return;
-  block->anchor_profile = policy.MakeProfile(key_values);
-  if (kernels) {
+  if (with_bits) {
     block->anchor_bits = simd::MakeBitProfile(block->anchor, options.qgram);
   }
 }
@@ -249,29 +182,17 @@ void SeedAnchorInto(Block* block, std::string_view key_values,
 
 void SketchPolicy::SeedAnchor(SketchBlock* block,
                               std::string_view key_values) const {
-  SeedAnchorInto(block, key_values, options_, UsesProfiles(),
-                 KernelRoutingActive(), *this);
+  SeedAnchorInto(block, key_values, options_, CachesBitProfiles());
 }
 
 void SketchPolicy::SeedAnchor(PublishedBlock* block,
                               std::string_view key_values) const {
-  SeedAnchorInto(block, key_values, options_, UsesProfiles(),
-                 KernelRoutingActive(), *this);
+  SeedAnchorInto(block, key_values, options_, CachesBitProfiles());
 }
 
 void SketchPolicy::RehydrateProfiles(SketchBlock* block) const {
-  if (UsesProfiles()) {
-    block->anchor_profile = MakeProfile(block->anchor);
-    for (SketchSubBlock& sub : block->subs) {
-      sub.rep_profiles.clear();
-      sub.rep_profiles.reserve(sub.representatives.size());
-      for (const std::string& rep : sub.representatives) {
-        sub.rep_profiles.push_back(MakeProfile(rep));
-      }
-    }
-  }
   if (!KernelRoutingActive()) return;
-  if (UsesProfiles()) {
+  if (CachesBitProfiles()) {
     block->anchor_bits = simd::MakeBitProfile(block->anchor, options_.qgram);
   }
   for (SketchSubBlock& sub : block->subs) {
@@ -301,8 +222,7 @@ SketchPolicy::RouteDecision SketchPolicy::Route(
     subs = heap_subs.data();
   }
   for (size_t i = 0; i < block.subs.size(); ++i) subs[i] = &block.subs[i];
-  const AnchorView anchor{block.anchor, &block.anchor_profile,
-                          &block.anchor_bits};
+  const AnchorView anchor{block.anchor, &block.anchor_bits};
   return RouteView(anchor, subs, block.subs.size(), key_values);
 }
 
@@ -320,8 +240,7 @@ SketchPolicy::RouteDecision SketchPolicy::Route(
   for (size_t i = 0; i < block.num_subs(); ++i) {
     subs[i] = block.sub(i).reps.load(std::memory_order_acquire);
   }
-  const AnchorView anchor{block.anchor, &block.anchor_profile,
-                          &block.anchor_bits};
+  const AnchorView anchor{block.anchor, &block.anchor_bits};
   return RouteView(anchor, subs, block.num_subs(), key_values);
 }
 
@@ -341,17 +260,9 @@ SketchPolicy::RouteDecision SketchPolicy::RouteScalar(
     const AnchorView& anchor, const RepSet* const* subs, size_t num_subs,
     std::string_view key_values) const {
   RouteDecision decision;
-  const bool profiles = UsesProfiles();
-  // Under kQGramDice the query side is tokenized once per routing decision;
-  // every representative comparison then reuses the cached profiles.
-  QGramProfile query_profile;
-  if (profiles) query_profile = MakeProfile(key_values);
-
   // Distance ring of the key, measured from the block anchor (the
   // <=theta, <=2*theta, ..., <=lambda*theta bands of Sec. 5).
-  const double anchor_distance =
-      profiles ? ProfileDistance(query_profile, *anchor.profile)
-               : ScalarKeyDistance(key_values, anchor.anchor);
+  const double anchor_distance = distance_(key_values, anchor.anchor);
   ++decision.comparisons;
   const double theta = std::max(options_.theta, 1e-9);
   const size_t ring = std::min(static_cast<size_t>(anchor_distance / theta),
@@ -369,11 +280,8 @@ SketchPolicy::RouteDecision SketchPolicy::RouteScalar(
   size_t best = ring;
   double best_distance = std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < num_subs; ++i) {
-    const RepSet& sub = *subs[i];
-    for (size_t r = 0; r < sub.representatives.size(); ++r) {
-      const double d =
-          profiles ? ProfileDistance(query_profile, sub.rep_profiles[r])
-                   : ScalarKeyDistance(key_values, sub.representatives[r]);
+    for (const std::string& rep : subs[i]->representatives) {
+      const double d = distance_(key_values, rep);
       ++decision.comparisons;
       ++decision.evaluated;
       if (d < best_distance) {
@@ -537,7 +445,6 @@ void SketchPolicy::ApplyRepUpdate(RepSet* reps, const RepUpdate& update,
       return;
     case RepUpdate::Kind::kAppend:
       reps->representatives.emplace_back(key_values);
-      if (UsesProfiles()) reps->rep_profiles.push_back(MakeProfile(key_values));
       UpdateKernelCaches(reps, SIZE_MAX, key_values);
       if (KernelRoutingActive()) {
         if (reps->packed.text_lens.size() + 1 == reps->representatives.size()) {
@@ -549,9 +456,6 @@ void SketchPolicy::ApplyRepUpdate(RepSet* reps, const RepUpdate& update,
       return;
     case RepUpdate::Kind::kReplace:
       reps->representatives[update.index].assign(key_values);
-      if (UsesProfiles()) {
-        reps->rep_profiles[update.index] = MakeProfile(key_values);
-      }
       UpdateKernelCaches(reps, update.index, key_values);
       if (KernelRoutingActive()) reps->FinalizePacked();
       return;

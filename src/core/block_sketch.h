@@ -46,7 +46,6 @@ class SketchPolicy {
   /// representation owns them.
   struct AnchorView {
     std::string_view anchor;
-    const QGramProfile* profile;
     const simd::BitProfile* bits;
   };
 
@@ -61,12 +60,10 @@ class SketchPolicy {
     size_t index = 0;  // victim for kReplace
   };
 
-  /// `distance` overrides the routing metric and forces the legacy scalar
-  /// comparison loop; leave it empty to use the built-in metric of
-  /// options.distance_kind (and, when the CPU/env allow, the batched
-  /// bit-parallel kernels — same results, differentially tested). When
-  /// options.distance_kind is kQGramDice a custom distance must be null
-  /// (the cached-profile path owns the metric).
+  /// `distance` overrides the routing metric of options.distance_kind,
+  /// whatever the kind, and routes through the scalar comparison loop; leave
+  /// it empty to route by the built-in metric of options.distance_kind on the
+  /// batched bit-parallel kernels (same results, differentially tested).
   SketchPolicy(const BlockSketchOptions& options, KeyDistanceFn distance);
 
   /// Routing rule. The distance ring of `key_values` (measured from the
@@ -80,9 +77,10 @@ class SketchPolicy {
 
   /// ChooseSubBlock with full telemetry: one batched kernel evaluation of
   /// the query against all lambda*rho representatives when the built-in
-  /// metric is in use, the scalar loop otherwise. The chosen sub-block is
-  /// identical on both paths (strict-< first-minimum argmin; kernel prune
-  /// bounds only skip candidates that provably cannot win).
+  /// metric is in use, the scalar loop over the custom distance otherwise.
+  /// For the same metric the chosen sub-block is identical on both paths
+  /// (strict-< first-minimum argmin; kernel prune bounds only skip
+  /// candidates that provably cannot win).
   RouteDecision Route(const SketchBlock& block,
                       std::string_view key_values) const;
 
@@ -113,20 +111,14 @@ class SketchPolicy {
   void MaybeAddRepresentative(RepSet* sub, std::string_view key_values) const;
 
   /// Seeds a fresh block from its first key: stores the anchor and, under
-  /// kQGramDice, its cached profile.
+  /// kQGramDice on the kernel path, its bit profile.
   void SeedAnchor(SketchBlock* block, std::string_view key_values) const;
   void SeedAnchor(PublishedBlock* block, std::string_view key_values) const;
 
   /// Rebuilds the derived caches of a block that was just decoded from its
-  /// serialized form: the q-gram profiles and bit profiles under
-  /// kQGramDice, and the packed SoA mirror whenever kernel routing is on.
+  /// serialized form when kernel routing is on: the bit profiles under
+  /// kQGramDice and the packed SoA mirror.
   void RehydrateProfiles(SketchBlock* block) const;
-
-  /// Sorted q-gram multiset of `text` per options().qgram.
-  QGramProfile MakeProfile(std::string_view text) const;
-
-  /// 1 - Dice coefficient of two profiles (sorted-merge intersection).
-  static double ProfileDistance(const QGramProfile& a, const QGramProfile& b);
 
   const BlockSketchOptions& options() const { return options_; }
   const KeyDistanceFn& distance() const { return distance_; }
@@ -138,19 +130,17 @@ class SketchPolicy {
   static void SetGatherRoutingForTesting(bool force);
 
  private:
-  bool UsesProfiles() const {
-    return options_.distance_kind == KeyDistanceKind::kQGramDice;
+  /// True when routing takes the batched kernel path: no custom
+  /// KeyDistanceFn. The packed SoA mirror is maintained under the same
+  /// condition.
+  bool KernelRoutingActive() const { return !distance_; }
+
+  /// True when the kernel path scores kQGramDice, which caches one bit
+  /// profile per representative (rep_bits) and per anchor (anchor_bits).
+  bool CachesBitProfiles() const {
+    return KernelRoutingActive() &&
+           options_.distance_kind == KeyDistanceKind::kQGramDice;
   }
-
-  /// True when routing may take the batched kernel path: built-in metric
-  /// (no custom KeyDistanceFn) and kernels not disabled via SKETCHLINK_SIMD.
-  /// The kernel cache (rep_bits) and the packed SoA mirror are maintained
-  /// under the same condition.
-  bool KernelRoutingActive() const;
-
-  /// The scalar distance of the configured built-in metric (or the custom
-  /// distance_ when set) — the reference the kernel path must match.
-  double ScalarKeyDistance(std::string_view a, std::string_view b) const;
 
   /// Appends (or replaces, when `replace_index` != SIZE_MAX) the kernel
   /// cache of one representative (its bit profile, under kQGramDice).
@@ -160,6 +150,7 @@ class SketchPolicy {
   RouteDecision RouteWithKernels(const AnchorView& anchor,
                                  const RepSet* const* subs, size_t num_subs,
                                  std::string_view key_values) const;
+  /// The scalar loop over the caller-supplied distance_.
   RouteDecision RouteScalar(const AnchorView& anchor,
                             const RepSet* const* subs, size_t num_subs,
                             std::string_view key_values) const;
@@ -182,10 +173,10 @@ class SketchPolicy {
 /// observed order scheduling-dependent — batch per stripe for determinism).
 class BlockSketch {
  public:
-  /// An empty `distance` (the default) selects the built-in metric of
-  /// options.distance_kind and enables the batched kernel routing path;
-  /// passing a function (DefaultKeyDistance() included) pins the legacy
-  /// scalar loop with that exact callable.
+  /// An empty `distance` (the default) routes by the built-in metric of
+  /// options.distance_kind on the batched kernel path; passing a function
+  /// (DefaultKeyDistance() included) routes through the scalar loop with
+  /// that exact callable, whatever the kind.
   explicit BlockSketch(const BlockSketchOptions& options = {},
                        KeyDistanceFn distance = {});
 

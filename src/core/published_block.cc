@@ -85,19 +85,9 @@ size_t PublishedBlock::TotalMembers() const {
   return total;
 }
 
-namespace {
-
-size_t ProfileHeapBytes(const QGramProfile& profile) {
-  size_t bytes = profile.capacity() * sizeof(std::string);
-  for (const std::string& gram : profile) bytes += StringHeapBytes(gram);
-  return bytes;
-}
-
-}  // namespace
-
 size_t PublishedBlock::ApproximateMemoryUsage() const {
-  size_t bytes = sizeof(*this) + StringHeapBytes(anchor) +
-                 ProfileHeapBytes(anchor_profile) + num_subs_ * sizeof(Sub);
+  size_t bytes =
+      sizeof(*this) + StringHeapBytes(anchor) + num_subs_ * sizeof(Sub);
   bytes += anchor_bits.HeapBytes();
   for (size_t i = 0; i < num_subs_; ++i) {
     const RepSet* reps = subs_[i].reps.load(std::memory_order_acquire);
@@ -112,7 +102,6 @@ size_t PublishedBlock::ApproximateMemoryUsage() const {
 SketchBlock PublishedBlock::Materialize() const {
   SketchBlock block(num_subs_);
   block.anchor = anchor;
-  block.anchor_profile = anchor_profile;
   block.anchor_bits = anchor_bits;
   for (size_t i = 0; i < num_subs_; ++i) {
     const RepSet* reps = subs_[i].reps.load(std::memory_order_acquire);
@@ -150,7 +139,6 @@ std::shared_ptr<PublishedBlock> PublishedBlock::FromSketchBlock(
     SketchBlock&& block) {
   auto published = std::make_shared<PublishedBlock>(block.subs.size());
   published->anchor = std::move(block.anchor);
-  published->anchor_profile = std::move(block.anchor_profile);
   published->anchor_bits = std::move(block.anchor_bits);
   for (size_t i = 0; i < published->num_subs_; ++i) {
     SketchSubBlock& sub = block.subs[i];

@@ -130,7 +130,6 @@ class PublishedBlock {
 
   // --- anchor section: written before publish, immutable afterwards ---
   std::string anchor;
-  QGramProfile anchor_profile;
   simd::BitProfile anchor_bits;
 
   struct Sub {

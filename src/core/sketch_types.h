@@ -25,27 +25,21 @@ using KeyDistanceFn =
     std::function<double(std::string_view, std::string_view)>;
 
 /// Returns the library default distance (Jaro-Winkler distance). Passing an
-/// explicit KeyDistanceFn — this one included — routes through the legacy
-/// scalar comparison loop; leaving the sketch's distance empty selects the
-/// built-in metric of the configured KeyDistanceKind, which additionally
-/// unlocks the batched bit-parallel kernel path (src/simd) with identical
-/// results.
+/// explicit KeyDistanceFn — this one included — routes through the scalar
+/// comparison loop with that function, whatever the configured
+/// KeyDistanceKind; leaving the sketch's distance empty routes by the
+/// built-in metric of the KeyDistanceKind on the batched bit-parallel kernel
+/// path (src/simd), with identical results.
 KeyDistanceFn DefaultKeyDistance();
-
-/// Sorted q-gram multiset of a key-value string. Cached per representative
-/// (and per block anchor) at insert time, so q-gram-based routing tokenizes
-/// each representative exactly once instead of once per query — the
-/// memoized input of the similarity hot path.
-using QGramProfile = std::vector<std::string>;
 
 /// Distance used for routing keys into sub-blocks.
 enum class KeyDistanceKind {
   /// Jaro-Winkler distance on the raw strings (the paper's evaluation).
   kJaroWinkler,
-  /// 1 - Dice coefficient over q-gram profiles. Profiles of representatives
-  /// are computed once at insert time and cached in the sketch; a query
-  /// tokenizes its own key values once per routing decision instead of once
-  /// per representative comparison.
+  /// 1 - Dice coefficient over q-gram profiles. Bit profiles of
+  /// representatives are computed once at insert time and cached in the
+  /// sketch; a query tokenizes its own key values once per routing decision
+  /// instead of once per representative comparison.
   kQGramDice,
   /// Normalized Levenshtein distance (edit distance / max length), computed
   /// with Myers' bit-parallel recurrence on the kernel path.
@@ -62,8 +56,8 @@ struct BlockSketchOptions {
   /// Ring width: the distance threshold between the keys of a matching pair.
   double theta = 0.25;
   uint64_t seed = 0x5ce7cULL;
-  /// Routing distance. kQGramDice enables the cached-profile fast path; the
-  /// default reproduces the paper's numbers.
+  /// Routing distance. kQGramDice caches one bit profile per representative;
+  /// the default reproduces the paper's numbers.
   KeyDistanceKind distance_kind = KeyDistanceKind::kJaroWinkler;
   /// q-gram width of the kQGramDice profiles.
   size_t qgram = 2;
@@ -93,16 +87,12 @@ struct RepSet {
   };
 
   std::vector<std::string> representatives;
-  /// Parallel to `representatives` when the q-gram distance is active:
-  /// rep_profiles[i] is the cached profile of representatives[i]. Empty
-  /// under kJaroWinkler. Derived data — never serialized; rebuilt by
-  /// SketchPolicy::RehydrateProfiles after a block is decoded.
-  std::vector<QGramProfile> rep_profiles;
-  /// Kernel cache, parallel to `representatives` when the batched kernel
-  /// path is active (built-in metric + kernels enabled) under kQGramDice:
-  /// the popcount-Dice bit profiles. Jaro-Winkler and Levenshtein need no
+  /// Kernel cache, parallel to `representatives` under kQGramDice when the
+  /// batched kernel path is active (no custom KeyDistanceFn): the
+  /// popcount-Dice bit profiles. Jaro-Winkler and Levenshtein need no
   /// per-representative cache (the query side carries the Jaro pattern).
-  /// Derived data — never serialized; rebuilt alongside rep_profiles.
+  /// Derived data — never serialized; rebuilt by
+  /// SketchPolicy::RehydrateProfiles after a block is decoded.
   std::vector<simd::BitProfile> rep_bits;
   Packed packed;
 
@@ -139,9 +129,6 @@ struct SketchBlock {
   /// itself cannot serve: it may be truncated (standard blocking) or a bit
   /// pattern outside value space entirely (LSH blocking).
   std::string anchor;
-  /// Cached q-gram profile of `anchor` (empty under kJaroWinkler). Derived;
-  /// not serialized.
-  QGramProfile anchor_profile;
   /// Kernel cache of `anchor` (see RepSet). Derived; not serialized.
   simd::BitProfile anchor_bits;
   std::vector<SketchSubBlock> subs;

@@ -1,54 +1,42 @@
 #ifndef SKETCHLINK_OBS_JSON_H_
 #define SKETCHLINK_OBS_JSON_H_
 
-// Minimal JSON building blocks shared by the metrics JSON exporter and the
-// benchmark sidecar writer (bench/bench_json.h) — moved here from the bench
-// tree so src/ code can emit JSON without reaching into bench/.
+// The one JSON writer: string and number formatting shared by the metrics
+// JSON exporter, the request log, the benchmark sidecars (bench/bench_json.h)
+// and serve::Json.
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace sketchlink::obs {
 
-/// Escapes `s` for embedding inside a JSON string literal.
-inline std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+/// Appends `s` as a JSON string literal, surrounding quotes included.
+void AppendJsonString(std::string_view s, std::string* out);
+
+/// Appends `value` as a JSON number: an exact integer in [0, 2^53] without a
+/// decimal point, anything else as the shortest of %.15g, %.16g, %.17g that
+/// reads back as `value` (inf and nan print as printf prints them, which is
+/// not JSON; serve::Json::Parse rejects both).
+void AppendJsonNumber(double value, std::string* out);
 
 /// One flat JSON object built field by field (insertion order preserved).
 class JsonFields {
  public:
   void Add(const std::string& key, const std::string& value) {
-    fields_.emplace_back(key, "\"" + JsonEscape(value) + "\"");
+    std::string json;
+    AppendJsonString(value, &json);
+    fields_.emplace_back(key, std::move(json));
   }
   void Add(const std::string& key, const char* value) {
     Add(key, std::string(value));
   }
   void Add(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
-    fields_.emplace_back(key, buf);
+    std::string json;
+    AppendJsonNumber(value, &json);
+    fields_.emplace_back(key, std::move(json));
   }
   void Add(const std::string& key, uint64_t value) {
     fields_.emplace_back(key, std::to_string(value));
@@ -62,7 +50,9 @@ class JsonFields {
     std::string out = "{";
     for (size_t i = 0; i < fields_.size(); ++i) {
       if (i > 0) out += ", ";
-      out += "\"" + JsonEscape(fields_[i].first) + "\": " + fields_[i].second;
+      AppendJsonString(fields_[i].first, &out);
+      out += ": ";
+      out += fields_[i].second;
     }
     out += "}";
     return out;

@@ -65,8 +65,8 @@ class Json {
   void Append(Json value);
   void Set(std::string key, Json value);
 
-  /// Compact serialization (no whitespace), built on AppendJsonString and
-  /// AppendJsonNumber.
+  /// Compact serialization (no whitespace), built on obs::AppendJsonString
+  /// and obs::AppendJsonNumber, which the responses written in place share.
   std::string Dump() const;
 
   /// Parses `text` (entire input must be one JSON value; trailing
@@ -85,16 +85,6 @@ class Json {
   std::vector<Json> array_;
   std::vector<std::pair<std::string, Json>> object_;
 };
-
-/// Appends `s` as a JSON string literal, surrounding quotes included.
-/// Json::Dump and the responses written in place share it.
-void AppendJsonString(std::string_view s, std::string* out);
-
-/// Appends `value` as Json::Number(value).Dump() prints it: an exact
-/// integer in [0, 2^53] without a decimal point, anything else as the
-/// shortest of %.15g, %.16g, %.17g that reads back as `value` (inf and nan
-/// print as printf prints them, which is not JSON; Parse rejects both).
-void AppendJsonNumber(double value, std::string* out);
 
 }  // namespace sketchlink::serve
 

@@ -6,6 +6,7 @@
 
 #include "linkage/sketch_matchers.h"
 #include "obs/clock.h"
+#include "obs/json.h"
 #include "obs/spans.h"
 
 namespace sketchlink::serve {
@@ -473,20 +474,20 @@ obs::HttpResponse LinkageService::Query(const Server::Request& request) {
   std::string& out = response.body;
   out.reserve(96 + index->name.size() + count * (verify ? 40 : 16));
   out += "{\"index\":";
-  AppendJsonString(index->name, &out);
+  obs::AppendJsonString(index->name, &out);
   out += ",\"num_candidates\":";
-  AppendJsonNumber(static_cast<double>(scratch.candidates.size()), &out);
+  obs::AppendJsonNumber(static_cast<double>(scratch.candidates.size()), &out);
   out += verify ? ",\"verified\":true,\"matches\":["
                 : ",\"verified\":false,\"matches\":[";
   for (size_t i = 0; i < count; ++i) {
     if (i != 0) out += ',';
     out += "{\"id\":";
     if (verify) {
-      AppendJsonNumber(static_cast<double>(scratch.scored[i].id), &out);
+      obs::AppendJsonNumber(static_cast<double>(scratch.scored[i].id), &out);
       out += ",\"score\":";
-      AppendJsonNumber(scratch.scored[i].score, &out);
+      obs::AppendJsonNumber(scratch.scored[i].score, &out);
     } else {
-      AppendJsonNumber(static_cast<double>(scratch.candidates[i]), &out);
+      obs::AppendJsonNumber(static_cast<double>(scratch.candidates[i]), &out);
     }
     out += '}';
   }

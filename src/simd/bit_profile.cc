@@ -101,22 +101,4 @@ BitProfile MakeBitProfile(std::string_view s, size_t q, bool pad) {
   return profile;
 }
 
-double DiceDistanceLowerBound(const BitProfile& a, const BitProfile& b) {
-  // Exact-by-convention cases: the bound IS the distance.
-  if (a.total == 0 && b.total == 0) return 0.0;
-  if (a.total == 0 || b.total == 0) return 1.0;
-  // Each signature bit of a missing from b's signature certifies at least
-  // one gram instance of a outside the intersection (and symmetrically).
-  const uint64_t only_a =
-      static_cast<uint64_t>(__builtin_popcountll(a.signature & ~b.signature));
-  const uint64_t only_b =
-      static_cast<uint64_t>(__builtin_popcountll(b.signature & ~a.signature));
-  const uint64_t ub_a = a.total > only_a ? a.total - only_a : 0;
-  const uint64_t ub_b = b.total > only_b ? b.total - only_b : 0;
-  const uint64_t common_ub = std::min(ub_a, ub_b);
-  const double dice_ub = 2.0 * static_cast<double>(common_ub) /
-                         static_cast<double>(a.total + b.total);
-  return 1.0 - dice_ub;
-}
-
 }  // namespace sketchlink::simd

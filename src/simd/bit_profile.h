@@ -17,10 +17,10 @@ namespace sketchlink::simd {
 /// Grams of width q <= 7 are packed into uint64 values (bytes left-aligned
 /// big-endian, length in the low byte), so comparisons are integer
 /// compares; the packing is injective and order-consistent, which makes
-/// popcount/merge kernels exact — BitDice/BitJaccard equal the scalar
-/// text::QGramDice / text::QGramJaccard for every input (differentially
-/// tested). Wider grams fall back to a sorted string multiset and the
-/// scalar merge.
+/// the merge kernels exact — ProfileDiceDistance / ProfileJaccard
+/// (simd/kernels.h) equal 1 - text::QGramDice / text::QGramJaccard for
+/// every input (differentially tested). Wider grams fall back to a sorted
+/// string multiset and a string merge.
 struct BitProfile {
   /// Distinct packed grams, ascending (packed mode, q <= 7).
   std::vector<uint64_t> grams;
@@ -51,15 +51,6 @@ BitProfile MakeBitProfile(std::string_view s, size_t q, bool pad = true);
 inline uint64_t SignatureBit(uint64_t packed_gram) {
   return uint64_t{1} << ((packed_gram * 0x9e3779b97f4a7c15ULL) >> 58);
 }
-
-/// Lower bound on the profile-Dice *distance* of two profiles, from the
-/// signatures and sizes alone (no merge): every signature bit present in
-/// `a` but absent from `b` is witnessed by at least one gram of `a` that
-/// cannot be in `b`, so the multiset intersection is at most
-/// min(|a| - popcount(sig_a & ~sig_b), |b| - popcount(sig_b & ~sig_a)).
-/// Exact Dice distance is always >= the returned value, which is what makes
-/// prune-by-bound decisions identical to evaluating every candidate.
-double DiceDistanceLowerBound(const BitProfile& a, const BitProfile& b);
 
 }  // namespace sketchlink::simd
 

@@ -1,108 +1,19 @@
 #ifndef SKETCHLINK_SIMD_DISPATCH_H_
 #define SKETCHLINK_SIMD_DISPATCH_H_
 
-#include <cstddef>
-#include <string_view>
-
 namespace sketchlink::simd {
 
-struct BitProfile;
-struct JaroPattern;
+/// The kernel build. The kernels (simd/kernels.h) compile once, for the ISA
+/// baseline of the build, and run unconditionally: no instruction-set tier
+/// beat that build by more than run-to-run noise on this repository's
+/// workloads (DESIGN.md §9), so there is nothing to select at run time.
+enum class KernelLevel { kScalar };
 
-/// Instruction-set tiers of the similarity kernels. Every tier computes
-/// bit-for-bit identical results (enforced by the differential test
-/// harness); only throughput differs. kScalar is portable C++; kSSE42 adds
-/// hardware popcount and 16-wide byte compares; kAVX2 adds 32-wide byte
-/// compares and 4-wide 64-bit merges; kAVX512 adds mask-register byte
-/// compares and 8-wide 64-bit unsigned merges.
-enum class KernelLevel { kScalar = 0, kSSE42 = 1, kAVX2 = 2, kAVX512 = 3 };
+/// Human-readable name of the build ("scalar").
+inline const char* KernelLevelName(KernelLevel /*level*/) { return "scalar"; }
 
-/// Human-readable tier name ("scalar", "sse42", "avx2", "avx512").
-const char* KernelLevelName(KernelLevel level);
-
-/// One similarity-kernel implementation tier. All function pointers are
-/// non-null and produce results identical to the scalar reference
-/// implementations in src/text (see tests/text/kernel_differential_test.cc).
-struct KernelOps {
-  const char* name;
-
-  /// Exact Levenshtein distance via Myers' bit-parallel algorithm
-  /// (single-word for min(|a|,|b|) <= 64, blocked beyond). Equals
-  /// text::Levenshtein for all byte strings.
-  size_t (*levenshtein)(std::string_view a, std::string_view b);
-
-  /// Bounded variant: the exact distance when it is <= max_distance,
-  /// max_distance + 1 otherwise (the text::BoundedLevenshtein contract).
-  size_t (*levenshtein_bounded)(std::string_view a, std::string_view b,
-                                size_t max_distance);
-
-  /// 1 - multiset Dice coefficient of two q-gram profiles. Mirrors
-  /// SketchPolicy::ProfileDistance (and therefore 1 - text::QGramDice)
-  /// exactly, including the empty-profile conventions.
-  double (*profile_dice_distance)(const BitProfile& a, const BitProfile& b);
-
-  /// Jaccard similarity of the distinct gram sets; equals
-  /// text::QGramJaccard for profiles built with the same q and padding.
-  double (*profile_jaccard)(const BitProfile& a, const BitProfile& b);
-
-  /// Jaro similarity of `a` against the pre-indexed string `b`.
-  /// `pattern` must be BuildJaroPattern(b) with fits == true. Equals
-  /// text::Jaro(a, b) bit-for-bit.
-  double (*jaro)(std::string_view a, std::string_view b,
-                 const JaroPattern& pattern);
-
-  /// Signature/size lower bound on profile_dice_distance, minus a safety
-  /// slack so floating-point rounding can never prune a candidate the
-  /// exact evaluation would have kept. Same doubles at every tier.
-  double (*dice_distance_bound)(const BitProfile& a, const BitProfile& b);
-
-  /// Length-only lower bounds on the Jaro-Winkler distance (0.2*(1-mn/mx),
-  /// minus slack) of the query against n candidate lengths.
-  void (*jw_length_bounds)(uint32_t query_len, const uint32_t* lens, size_t n,
-                           double* out);
-
-  /// Length-only lower bounds on the normalized Levenshtein distance
-  /// (|la-lb|/max, minus slack).
-  void (*lev_length_bounds)(uint32_t query_len, const uint32_t* lens,
-                            size_t n, double* out);
-};
-
-/// Highest tier this CPU can execute (cpuid probe, cached).
-KernelLevel DetectedCpuLevel();
-
-/// The active tier: the detected one, lowered by the SKETCHLINK_SIMD
-/// environment variable ("scalar", "sse42", "avx2", "avx512"; values above the
-/// detected tier are clamped). SKETCHLINK_SIMD=off disables the kernel
-/// layer entirely — KernelsEnabled() turns false and callers fall back to
-/// the scalar reference code in src/text.
-KernelLevel ActiveLevel();
-
-/// False only under SKETCHLINK_SIMD=off: the sketch routing and similarity
-/// fast paths then bypass the kernels completely (used to benchmark the
-/// legacy code paths).
-bool KernelsEnabled();
-
-/// The vtable of the active tier.
-const KernelOps& Ops();
-
-/// The vtable of a specific tier, or nullptr when this CPU cannot run it.
-/// Differential tests iterate every non-null tier.
-const KernelOps* OpsForLevel(KernelLevel level);
-
-/// Test hook: forces the active tier (clamped to the detected one).
-/// Returns the tier actually installed.
-KernelLevel SetActiveLevelForTesting(KernelLevel level);
-
-/// Test hook: re-reads SKETCHLINK_SIMD and restores the startup behavior.
-void ResetActiveLevelForTesting();
-
-/// Per-tier vtable constructors (defined in kernels_<tier>.cc). Prefer
-/// Ops()/OpsForLevel(); these exist so the dispatcher and the differential
-/// tests can name a tier explicitly.
-const KernelOps* GetScalarKernels();
-const KernelOps* GetSse42Kernels();
-const KernelOps* GetAvx2Kernels();
-const KernelOps* GetAvx512Kernels();
+/// The build the kernels run: always kScalar.
+inline KernelLevel ActiveLevel() { return KernelLevel::kScalar; }
 
 }  // namespace sketchlink::simd
 

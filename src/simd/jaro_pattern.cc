@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "simd/dispatch.h"
+#include "simd/kernels.h"
 #include "text/jaro.h"
 
 namespace sketchlink::simd {
@@ -57,17 +57,14 @@ double WinklerBoost(double jaro, std::string_view a, std::string_view b) {
 
 void JaroWinklerQuery::Bind(std::string_view query) {
   query_ = query;
-  ops_ = nullptr;
-  if (!KernelsEnabled() || query.size() > 64) return;
   BuildJaroPattern(query, &pattern_);
-  if (pattern_.fits) ops_ = &Ops();
 }
 
 double JaroWinklerQuery::Jaro(std::string_view x) const {
   // The kernel scans its first argument against the indexed second one:
-  // ops.jaro(x, query) == text::Jaro(x, query) == text::Jaro(query, x).
-  return ops_ != nullptr ? ops_->jaro(x, query_, pattern_)
-                         : text::Jaro(query_, x);
+  // simd::Jaro(x, query) == text::Jaro(x, query) == text::Jaro(query, x).
+  return pattern_.fits ? simd::Jaro(x, query_, pattern_)
+                       : text::Jaro(query_, x);
 }
 
 }  // namespace sketchlink::simd

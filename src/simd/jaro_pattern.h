@@ -7,8 +7,6 @@
 
 namespace sketchlink::simd {
 
-struct KernelOps;
-
 /// Positional index of one comparison side of Jaro: for each distinct byte
 /// of `b`, a 64-bit mask of the positions where it occurs. The bit-parallel
 /// Jaro kernel replaces the scalar O(window) inner scan with one mask
@@ -30,9 +28,8 @@ struct JaroPattern {
   /// (space, '#', '\'', '-', digits, upper letters) always qualifies:
   /// those bytes occupy distinct low-6-bit slots.
   bool direct = false;
-  /// Distinct bytes of b in first-occurrence order, zero-padded so SIMD
-  /// lookups can scan fixed-width blocks. A padded slot never yields a
-  /// match: its mask is 0.
+  /// Distinct bytes of b in first-occurrence order (the first
+  /// `num_distinct` slots) and the positions of each.
   std::array<unsigned char, kMaxDistinct> chars{};
   std::array<uint64_t, kMaxDistinct> masks{};
   /// Direct index (valid iff `direct`): slot c & 63 holds the byte that
@@ -73,9 +70,8 @@ class JaroWinklerQuery {
   explicit JaroWinklerQuery(std::string_view query) { Bind(query); }
 
   /// Re-targets at `query` and indexes it. Borrows the bytes: they must
-  /// stay in place while this object scores. Captures the active kernel
-  /// tier; a query the pattern cannot hold (> 64 bytes, > 32 distinct
-  /// bytes) or disabled kernels (SKETCHLINK_SIMD=off) score with text::Jaro.
+  /// stay in place while this object scores. A query the pattern cannot
+  /// hold (> 64 bytes, > 32 distinct bytes) scores with text::Jaro.
   void Bind(std::string_view query);
 
   /// == text::Jaro(query, x), bit for bit.
@@ -88,8 +84,7 @@ class JaroWinklerQuery {
 
  private:
   std::string_view query_;
-  const KernelOps* ops_ = nullptr;  // null: score with text::Jaro
-  JaroPattern pattern_;
+  JaroPattern pattern_;  // fits == false: score with text::Jaro
 };
 
 }  // namespace sketchlink::simd

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "simd/dispatch.h"
+#include "simd/kernels.h"
 
 namespace sketchlink::simd {
 
@@ -16,16 +16,15 @@ BatchQuery::BatchQuery(BatchMetric metric, std::string_view query,
     : metric_(metric), query_(query), query_profile_(query_profile) {}
 
 double BatchQuery::Distance(const BatchCandidate& candidate) const {
-  const KernelOps& ops = Ops();
   switch (metric_) {
     case BatchMetric::kJaroWinkler:
       return 1.0 - jaro_winkler_.Similarity(candidate.text);
     case BatchMetric::kQGramDice:
-      return ops.profile_dice_distance(*query_profile_, *candidate.profile);
+      return ProfileDiceDistance(*query_profile_, *candidate.profile);
     case BatchMetric::kLevenshtein: {
       const size_t longest = std::max(query_.size(), candidate.text.size());
       if (longest == 0) return 0.0;
-      return static_cast<double>(ops.levenshtein(query_, candidate.text)) /
+      return static_cast<double>(Levenshtein(query_, candidate.text)) /
              static_cast<double>(longest);
     }
   }
@@ -33,17 +32,16 @@ double BatchQuery::Distance(const BatchCandidate& candidate) const {
 }
 
 double BatchQuery::Distance(const BatchSoA& soa, size_t i) const {
-  const KernelOps& ops = Ops();
   const std::string_view text = soa.text(i);
   switch (metric_) {
     case BatchMetric::kJaroWinkler:
       return 1.0 - jaro_winkler_.Similarity(text);
     case BatchMetric::kQGramDice:
-      return ops.profile_dice_distance(*query_profile_, soa.profiles[i]);
+      return ProfileDiceDistance(*query_profile_, soa.profiles[i]);
     case BatchMetric::kLevenshtein: {
       const size_t longest = std::max(query_.size(), text.size());
       if (longest == 0) return 0.0;
-      return static_cast<double>(ops.levenshtein(query_, text)) /
+      return static_cast<double>(Levenshtein(query_, text)) /
              static_cast<double>(longest);
     }
   }
@@ -51,7 +49,6 @@ double BatchQuery::Distance(const BatchSoA& soa, size_t i) const {
 }
 
 BatchResult BatchQuery::Score(const BatchSoA& soa, double initial_best) const {
-  const KernelOps& ops = Ops();
   BatchResult result;
   result.best_distance = initial_best;
 
@@ -65,14 +62,13 @@ BatchResult BatchQuery::Score(const BatchSoA& soa, double initial_best) const {
     if (length_bounds) {
       // The SoA length array is already contiguous: no per-chunk gather.
       if (metric_ == BatchMetric::kJaroWinkler) {
-        ops.jw_length_bounds(query_len, soa.text_lens + base, count, bounds);
+        JwLengthBounds(query_len, soa.text_lens + base, count, bounds);
       } else {
-        ops.lev_length_bounds(query_len, soa.text_lens + base, count, bounds);
+        LevLengthBounds(query_len, soa.text_lens + base, count, bounds);
       }
     } else {
       for (size_t i = 0; i < count; ++i) {
-        bounds[i] = ops.dice_distance_bound(*query_profile_,
-                                            soa.profiles[base + i]);
+        bounds[i] = DiceDistanceBound(*query_profile_, soa.profiles[base + i]);
       }
     }
     for (size_t i = 0; i < count; ++i) {
@@ -93,7 +89,6 @@ BatchResult BatchQuery::Score(const BatchSoA& soa, double initial_best) const {
 
 BatchResult BatchQuery::Score(const BatchCandidate* candidates,
                               size_t n) const {
-  const KernelOps& ops = Ops();
   BatchResult result;
 
   constexpr size_t kChunk = 64;
@@ -109,14 +104,14 @@ BatchResult BatchQuery::Score(const BatchCandidate* candidates,
         lens[i] = static_cast<uint32_t>(candidates[base + i].text.size());
       }
       if (metric_ == BatchMetric::kJaroWinkler) {
-        ops.jw_length_bounds(query_len, lens, count, bounds);
+        JwLengthBounds(query_len, lens, count, bounds);
       } else {
-        ops.lev_length_bounds(query_len, lens, count, bounds);
+        LevLengthBounds(query_len, lens, count, bounds);
       }
     } else {
       for (size_t i = 0; i < count; ++i) {
-        bounds[i] = ops.dice_distance_bound(*query_profile_,
-                                            *candidates[base + i].profile);
+        bounds[i] =
+            DiceDistanceBound(*query_profile_, *candidates[base + i].profile);
       }
     }
     for (size_t i = 0; i < count; ++i) {

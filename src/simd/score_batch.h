@@ -15,7 +15,7 @@ namespace sketchlink::simd {
 enum class BatchMetric {
   /// 1 - text::JaroWinkler (the paper's evaluation metric).
   kJaroWinkler,
-  /// SketchPolicy::ProfileDistance over cached q-gram profiles.
+  /// 1 - text::QGramDice, over cached q-gram profiles.
   kQGramDice,
   /// Levenshtein / max(len) (text::NormalizedLevenshteinDistance).
   kLevenshtein,
@@ -80,7 +80,7 @@ class BatchQuery {
              const BitProfile* query_profile);
 
   /// Exact distance to one candidate — the scalar reference value, bit for
-  /// bit, computed with the active kernel tier.
+  /// bit, computed by the kernels.
   double Distance(const BatchCandidate& candidate) const;
 
   /// Exact distance to candidate `i` of a SoA batch; same value as the

@@ -1,12 +1,10 @@
-// Determinism regression for the batched kernel routing path: with kernels
-// enabled, a ShardedBlockSketch built at 1, 2, and 8 threads must be
-// IDENTICAL — same blocks, same candidates, same comparison counters — for
-// every built-in distance kind and every dispatch tier this CPU offers. The
-// kernel sketch is additionally cross-checked against a legacy sketch pinned
-// to the scalar comparison loop (explicit KeyDistanceFn), which must route
-// every record to the same sub-block.
+// Determinism regression for the batched kernel routing path: a
+// ShardedBlockSketch built at 1, 2, and 8 threads must be IDENTICAL — same
+// blocks, same candidates, same comparison counters — for every built-in
+// distance kind. The kernel sketch is additionally cross-checked against a
+// sketch pinned to the scalar comparison loop (explicit KeyDistanceFn),
+// which must route every record to the same sub-block.
 
-#include <algorithm>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -16,7 +14,6 @@
 
 #include "common/random.h"
 #include "core/sharded_sketch.h"
-#include "simd/dispatch.h"
 #include "text/edit_distance.h"
 #include "text/jaro.h"
 #include "text/qgram.h"
@@ -54,7 +51,7 @@ std::vector<SketchInsert> AsInserts(
 }
 
 /// The scalar reference distance of a built-in kind, as an explicit
-/// KeyDistanceFn — passing it pins the legacy comparison loop.
+/// KeyDistanceFn — passing it pins the scalar comparison loop.
 KeyDistanceFn ScalarFnFor(KeyDistanceKind kind, size_t qgram) {
   switch (kind) {
     case KeyDistanceKind::kJaroWinkler:
@@ -64,11 +61,7 @@ KeyDistanceFn ScalarFnFor(KeyDistanceKind kind, size_t qgram) {
       // on every call (conventions included — QGrams pads, so even an empty
       // string has a non-empty profile for q >= 2).
       return [qgram](std::string_view a, std::string_view b) {
-        QGramProfile pa = text::QGrams(a, qgram);
-        std::sort(pa.begin(), pa.end());
-        QGramProfile pb = text::QGrams(b, qgram);
-        std::sort(pb.begin(), pb.end());
-        return SketchPolicy::ProfileDistance(pa, pb);
+        return 1.0 - text::QGramDice(a, b, qgram);
       };
     case KeyDistanceKind::kLevenshtein:
       return [](std::string_view a, std::string_view b) {
@@ -79,13 +72,9 @@ KeyDistanceFn ScalarFnFor(KeyDistanceKind kind, size_t qgram) {
 }
 
 class KernelRoutingDeterminismTest
-    : public ::testing::TestWithParam<KeyDistanceKind> {
- protected:
-  void TearDown() override { simd::ResetActiveLevelForTesting(); }
-};
+    : public ::testing::TestWithParam<KeyDistanceKind> {};
 
 TEST_P(KernelRoutingDeterminismTest, IdenticalAcrossThreadsTiersAndScalar) {
-  if (!simd::KernelsEnabled()) GTEST_SKIP() << "kernels disabled via env";
   const KeyDistanceKind kind = GetParam();
   BlockSketchOptions options;
   options.distance_kind = kind;
@@ -93,44 +82,28 @@ TEST_P(KernelRoutingDeterminismTest, IdenticalAcrossThreadsTiersAndScalar) {
   const auto entries = MakeEntries(2500, 60);
   const auto inserts = AsInserts(entries);
 
-  // Legacy scalar loop: an explicit KeyDistanceFn computing the same metric.
-  // Built once; everything else must match it.
-  BlockSketchOptions legacy_options = options;
-  if (kind == KeyDistanceKind::kQGramDice) {
-    // A custom fn must not be combined with kQGramDice (the cached-profile
-    // path owns that metric); the equivalent legacy configuration computes
-    // the dice distance from the raw strings under kJaroWinkler kind.
-    legacy_options.distance_kind = KeyDistanceKind::kJaroWinkler;
-  }
-  ShardedBlockSketch legacy(legacy_options,
-                            ScalarFnFor(kind, options.qgram));
+  // Scalar loop: an explicit KeyDistanceFn computing the same metric, which
+  // overrides the kind. Built once; everything else must match it.
+  ShardedBlockSketch legacy(options, ScalarFnFor(kind, options.qgram));
   legacy.InsertBatch(inserts, nullptr);
   const BlockSketchStats legacy_stats = legacy.stats();
 
-  for (int level = 0; level <= 3; ++level) {
-    const simd::KernelLevel requested = static_cast<simd::KernelLevel>(level);
-    if (simd::OpsForLevel(requested) == nullptr) continue;
-    ASSERT_EQ(simd::SetActiveLevelForTesting(requested), requested);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    ThreadPool pool(threads);
+    ShardedBlockSketch sketch(options);  // empty fn: kernel path
+    sketch.InsertBatch(inserts, &pool);
 
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      ThreadPool pool(threads);
-      ShardedBlockSketch sketch(options);  // empty fn: kernel path
-      sketch.InsertBatch(inserts, &pool);
+    EXPECT_EQ(sketch.num_blocks(), legacy.num_blocks())
+        << "threads=" << threads;
+    // The historical comparisons accounting is identical on the kernel
+    // path even when prune bounds skip evaluations.
+    EXPECT_EQ(sketch.stats().representative_comparisons,
+              legacy_stats.representative_comparisons)
+        << "threads=" << threads;
 
-      EXPECT_EQ(sketch.num_blocks(), legacy.num_blocks())
-          << "level=" << level << " threads=" << threads;
-      // The historical comparisons accounting is identical on the kernel
-      // path even when prune bounds skip evaluations.
-      EXPECT_EQ(sketch.stats().representative_comparisons,
-                legacy_stats.representative_comparisons)
-          << "level=" << level << " threads=" << threads;
-
-      for (const auto& [key, value] : entries) {
-        ASSERT_EQ(sketch.Candidates(key, value),
-                  legacy.Candidates(key, value))
-            << "level=" << level << " threads=" << threads << " key=" << key
-            << " value=" << value;
-      }
+    for (const auto& [key, value] : entries) {
+      ASSERT_EQ(sketch.Candidates(key, value), legacy.Candidates(key, value))
+          << "threads=" << threads << " key=" << key << " value=" << value;
     }
   }
 }

@@ -5,8 +5,7 @@
 // SketchPolicy::SetGatherRoutingForTesting. Both paths are driven through
 // the full pipeline — datagen workload -> blocking -> sketch -> engine —
 // and must produce bit-identical per-query result sets, comparison
-// counters, and quality metrics at every thread count and on every SIMD
-// dispatch tier this CPU offers (scalar through AVX-512). Both kernel paths
+// counters, and quality metrics at every thread count. Both kernel paths
 // score Jaro-Winkler through the query's pattern (the representatives carry
 // none), so the wire test also builds a third sketch on the scalar
 // reference distance, which indexes nothing, and requires the same blocks.
@@ -23,7 +22,6 @@
 #include "datagen/generators.h"
 #include "linkage/engine.h"
 #include "linkage/sketch_matchers.h"
-#include "simd/dispatch.h"
 
 namespace sketchlink {
 namespace {
@@ -79,10 +77,7 @@ RunResult RunPipeline(const datagen::Workload& workload,
 
 class LayoutCrosscheckTest : public ::testing::TestWithParam<DatasetKind> {
  protected:
-  void TearDown() override {
-    SketchPolicy::SetGatherRoutingForTesting(false);
-    simd::ResetActiveLevelForTesting();
-  }
+  void TearDown() override { SketchPolicy::SetGatherRoutingForTesting(false); }
 };
 
 TEST_P(LayoutCrosscheckTest, SoAMatchesGatherOracleAcrossThreadsAndTiers) {
@@ -90,60 +85,46 @@ TEST_P(LayoutCrosscheckTest, SoAMatchesGatherOracleAcrossThreadsAndTiers) {
   const datagen::Workload workload = MakeCrosscheckWorkload(kind);
   const GroundTruth truth(workload.a);
 
-  // The oracle is built once per tier on the gather path at one thread; the
-  // SoA runs at every thread count must match it field for field.
-  for (int level = 0; level <= 3; ++level) {
-    const simd::KernelLevel requested = static_cast<simd::KernelLevel>(level);
-    if (simd::KernelsEnabled()) {
-      if (simd::OpsForLevel(requested) == nullptr) continue;
-      ASSERT_EQ(simd::SetActiveLevelForTesting(requested), requested);
-    } else if (level > 0) {
-      break;  // kernels disabled via env: only the scalar pass is meaningful
-    }
+  // The oracle is built once on the gather path at one thread; the SoA runs
+  // at every thread count must match it field for field.
+  const RunResult oracle =
+      RunPipeline(workload, truth, kind, /*threads=*/1, /*gather=*/true);
 
-    const RunResult oracle =
-        RunPipeline(workload, truth, kind, /*threads=*/1, /*gather=*/true);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    const RunResult soa =
+        RunPipeline(workload, truth, kind, threads, /*gather=*/false);
 
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      const RunResult soa =
-          RunPipeline(workload, truth, kind, threads, /*gather=*/false);
+    EXPECT_EQ(soa.report.comparisons, oracle.report.comparisons)
+        << "threads=" << threads;
+    EXPECT_EQ(soa.report.quality.true_pairs, oracle.report.quality.true_pairs)
+        << "threads=" << threads;
+    EXPECT_EQ(soa.report.quality.reported_pairs,
+              oracle.report.quality.reported_pairs)
+        << "threads=" << threads;
+    EXPECT_EQ(soa.report.quality.correct_pairs,
+              oracle.report.quality.correct_pairs)
+        << "threads=" << threads;
+    // Derived doubles must be bit-identical, not just close: both paths
+    // compute them from the same integer counts.
+    EXPECT_EQ(soa.report.quality.recall, oracle.report.quality.recall)
+        << "threads=" << threads;
+    EXPECT_EQ(soa.report.quality.precision, oracle.report.quality.precision)
+        << "threads=" << threads;
+    EXPECT_EQ(soa.report.quality.f1, oracle.report.quality.f1)
+        << "threads=" << threads;
 
-      EXPECT_EQ(soa.report.comparisons, oracle.report.comparisons)
-          << "level=" << level << " threads=" << threads;
-      EXPECT_EQ(soa.report.quality.true_pairs,
-                oracle.report.quality.true_pairs)
-          << "level=" << level << " threads=" << threads;
-      EXPECT_EQ(soa.report.quality.reported_pairs,
-                oracle.report.quality.reported_pairs)
-          << "level=" << level << " threads=" << threads;
-      EXPECT_EQ(soa.report.quality.correct_pairs,
-                oracle.report.quality.correct_pairs)
-          << "level=" << level << " threads=" << threads;
-      // Derived doubles must be bit-identical, not just close: both paths
-      // compute them from the same integer counts.
-      EXPECT_EQ(soa.report.quality.recall, oracle.report.quality.recall)
-          << "level=" << level << " threads=" << threads;
-      EXPECT_EQ(soa.report.quality.precision, oracle.report.quality.precision)
-          << "level=" << level << " threads=" << threads;
-      EXPECT_EQ(soa.report.quality.f1, oracle.report.quality.f1)
-          << "level=" << level << " threads=" << threads;
-
-      ASSERT_EQ(soa.per_query.size(), oracle.per_query.size());
-      for (size_t i = 0; i < soa.per_query.size(); ++i) {
-        ASSERT_EQ(soa.per_query[i], oracle.per_query[i])
-            << "level=" << level << " threads=" << threads << " query#" << i;
-      }
+    ASSERT_EQ(soa.per_query.size(), oracle.per_query.size());
+    for (size_t i = 0; i < soa.per_query.size(); ++i) {
+      ASSERT_EQ(soa.per_query[i], oracle.per_query[i])
+          << "threads=" << threads << " query#" << i;
     }
   }
 }
 
-/// Restores the process-global routing flag and SIMD tier even when an
-/// ASSERT returns out of the test early.
+/// Restores the process-global routing flag even when an ASSERT returns out
+/// of the test early.
 struct RoutingStateGuard {
-  ~RoutingStateGuard() {
-    SketchPolicy::SetGatherRoutingForTesting(false);
-    simd::ResetActiveLevelForTesting();
-  }
+  ~RoutingStateGuard() { SketchPolicy::SetGatherRoutingForTesting(false); }
 };
 
 TEST(LayoutWireEncodeTest, WireEncodesIdenticalAcrossRoutingPaths) {
@@ -157,51 +138,38 @@ TEST(LayoutWireEncodeTest, WireEncodesIdenticalAcrossRoutingPaths) {
       MakeCrosscheckWorkload(DatasetKind::kNcvr);
   auto blocker = MakeStandardBlocker(DatasetKind::kNcvr);
 
-  for (int level = 0; level <= 3; ++level) {
-    const simd::KernelLevel requested = static_cast<simd::KernelLevel>(level);
-    if (simd::KernelsEnabled()) {
-      if (simd::OpsForLevel(requested) == nullptr) continue;
-      ASSERT_EQ(simd::SetActiveLevelForTesting(requested), requested);
-    } else if (level > 0) {
-      break;
-    }
+  SketchPolicy::SetGatherRoutingForTesting(true);
+  BlockSketch oracle{BlockSketchOptions()};
+  for (const Record& record : workload.a.records()) {
+    oracle.Insert(blocker->Key(record), blocker->KeyValues(record), record.id);
+  }
+  SketchPolicy::SetGatherRoutingForTesting(false);
+  BlockSketch soa{BlockSketchOptions()};
+  BlockSketch scalar{BlockSketchOptions(), DefaultKeyDistance()};
+  for (const Record& record : workload.a.records()) {
+    soa.Insert(blocker->Key(record), blocker->KeyValues(record), record.id);
+    scalar.Insert(blocker->Key(record), blocker->KeyValues(record), record.id);
+  }
 
-    SketchPolicy::SetGatherRoutingForTesting(true);
-    BlockSketch oracle{BlockSketchOptions()};
-    for (const Record& record : workload.a.records()) {
-      oracle.Insert(blocker->Key(record), blocker->KeyValues(record),
-                    record.id);
-    }
-    SketchPolicy::SetGatherRoutingForTesting(false);
-    BlockSketch soa{BlockSketchOptions()};
-    BlockSketch scalar{BlockSketchOptions(), DefaultKeyDistance()};
-    for (const Record& record : workload.a.records()) {
-      soa.Insert(blocker->Key(record), blocker->KeyValues(record), record.id);
-      scalar.Insert(blocker->Key(record), blocker->KeyValues(record),
-                    record.id);
-    }
-
-    ASSERT_EQ(soa.num_blocks(), oracle.num_blocks()) << "level=" << level;
-    ASSERT_EQ(scalar.num_blocks(), oracle.num_blocks()) << "level=" << level;
-    for (const Record& record : workload.a.records()) {
-      const std::string key = blocker->Key(record);
-      auto oracle_block = oracle.FindBlock(key);
-      auto soa_block = soa.FindBlock(key);
-      auto scalar_block = scalar.FindBlock(key);
-      ASSERT_NE(oracle_block, nullptr) << "level=" << level << " key=" << key;
-      ASSERT_NE(soa_block, nullptr) << "level=" << level << " key=" << key;
-      ASSERT_NE(scalar_block, nullptr) << "level=" << level << " key=" << key;
-      std::string oracle_bytes;
-      oracle_block->EncodeTo(&oracle_bytes);
-      std::string soa_bytes;
-      soa_block->EncodeTo(&soa_bytes);
-      ASSERT_EQ(soa_bytes, oracle_bytes)
-          << "wire encode differs, level=" << level << " key=" << key;
-      std::string scalar_bytes;
-      scalar_block->EncodeTo(&scalar_bytes);
-      ASSERT_EQ(scalar_bytes, oracle_bytes)
-          << "scalar routing differs, level=" << level << " key=" << key;
-    }
+  ASSERT_EQ(soa.num_blocks(), oracle.num_blocks());
+  ASSERT_EQ(scalar.num_blocks(), oracle.num_blocks());
+  for (const Record& record : workload.a.records()) {
+    const std::string key = blocker->Key(record);
+    auto oracle_block = oracle.FindBlock(key);
+    auto soa_block = soa.FindBlock(key);
+    auto scalar_block = scalar.FindBlock(key);
+    ASSERT_NE(oracle_block, nullptr) << "key=" << key;
+    ASSERT_NE(soa_block, nullptr) << "key=" << key;
+    ASSERT_NE(scalar_block, nullptr) << "key=" << key;
+    std::string oracle_bytes;
+    oracle_block->EncodeTo(&oracle_bytes);
+    std::string soa_bytes;
+    soa_block->EncodeTo(&soa_bytes);
+    ASSERT_EQ(soa_bytes, oracle_bytes) << "wire encode differs, key=" << key;
+    std::string scalar_bytes;
+    scalar_block->EncodeTo(&scalar_bytes);
+    ASSERT_EQ(scalar_bytes, oracle_bytes)
+        << "scalar routing differs, key=" << key;
   }
 }
 

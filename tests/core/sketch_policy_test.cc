@@ -87,6 +87,34 @@ TEST(SketchPolicyTest, ComparisonsCountAnchorsAndReps) {
   EXPECT_EQ(comparisons, 5u);
 }
 
+TEST(SketchPolicyTest, CustomDistanceOverridesTheKind) {
+  // A caller-supplied distance routes under every kind: with LengthDistance
+  // a kQGramDice policy must route, and count comparisons, exactly like a
+  // kJaroWinkler one, from the seeded anchor through reservoir churn.
+  BlockSketchOptions qgram_options = Options();
+  qgram_options.distance_kind = KeyDistanceKind::kQGramDice;
+  SketchPolicy qgram(qgram_options, LengthDistance());
+  SketchPolicy jaro_winkler(Options(), LengthDistance());
+  SketchBlock qgram_block(3);
+  SketchBlock jaro_winkler_block(3);
+  qgram.SeedAnchor(&qgram_block, "1234");
+  jaro_winkler.SeedAnchor(&jaro_winkler_block, "1234");
+  uint64_t qgram_comparisons = 0;
+  uint64_t jaro_winkler_comparisons = 0;
+  for (size_t i = 0; i < 200; ++i) {
+    const std::string key(1 + (i * 7) % 19, static_cast<char>('a' + i % 5));
+    const size_t sub =
+        qgram.ChooseSubBlock(qgram_block, key, &qgram_comparisons);
+    ASSERT_EQ(sub, jaro_winkler.ChooseSubBlock(jaro_winkler_block, key,
+                                               &jaro_winkler_comparisons))
+        << "key " << i << " \"" << key << "\"";
+    qgram.MaybeAddRepresentative(&qgram_block.subs[sub], key);
+    jaro_winkler.MaybeAddRepresentative(&jaro_winkler_block.subs[sub], key);
+  }
+  EXPECT_EQ(qgram_comparisons, jaro_winkler_comparisons);
+  EXPECT_GT(qgram_comparisons, 200u);  // representatives were compared
+}
+
 TEST(SketchPolicyTest, ReservoirFillsToRhoThenReplaces) {
   BlockSketchOptions options = Options();
   SketchPolicy policy(options, LengthDistance());

@@ -11,6 +11,7 @@
 
 #include "common/random.h"
 #include "gtest/gtest.h"
+#include "obs/json.h"
 
 namespace sketchlink::serve {
 namespace {
@@ -143,7 +144,7 @@ TEST(JsonDumpTest, NumberPrintingMatchesSnprintfReference) {
   std::string out;
   for (const double value : values) {
     out.clear();
-    AppendJsonNumber(value, &out);
+    obs::AppendJsonNumber(value, &out);
     ASSERT_EQ(out, ReferenceNumber(value)) << std::hexfloat << value;
   }
   EXPECT_EQ(Json::Number(Limits::infinity()).Dump(), "inf");

@@ -5,7 +5,7 @@
 // transposition recurrence. The band seal / threshold early-exit / adjacent
 // transposition edges are exactly where banded DPs historically break, so
 // this closes them by enumeration instead of sampling. The bit-parallel
-// Myers kernels ride along: every tier must equal the naive matrix too.
+// Myers kernels ride along: they must equal the naive matrix too.
 
 #include "text/edit_distance.h"
 
@@ -16,7 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include "simd/dispatch.h"
+#include "simd/kernels.h"
 
 namespace sketchlink::text {
 namespace {
@@ -77,20 +77,8 @@ std::vector<std::string> AllStrings(size_t alphabet, size_t max_len) {
   return out;
 }
 
-std::vector<const simd::KernelOps*> AllTiers() {
-  std::vector<const simd::KernelOps*> tiers;
-  for (int level = 0; level <= 2; ++level) {
-    const simd::KernelOps* ops =
-        simd::OpsForLevel(static_cast<simd::KernelLevel>(level));
-    if (ops != nullptr) tiers.push_back(ops);
-  }
-  return tiers;
-}
-
 void AuditAllPairs(size_t alphabet, size_t max_len) {
   const std::vector<std::string> strings = AllStrings(alphabet, max_len);
-  const auto tiers = AllTiers();
-  ASSERT_GE(tiers.size(), 1u);
   size_t pairs = 0;
   for (const std::string& a : strings) {
     for (const std::string& b : strings) {
@@ -99,10 +87,8 @@ void AuditAllPairs(size_t alphabet, size_t max_len) {
       ASSERT_EQ(lev, Levenshtein(a, b)) << "\"" << a << "\" / \"" << b << "\"";
       ASSERT_EQ(NaiveOsa(a, b), DamerauOsa(a, b))
           << "\"" << a << "\" / \"" << b << "\"";
-      for (const simd::KernelOps* ops : tiers) {
-        ASSERT_EQ(lev, ops->levenshtein(a, b))
-            << ops->name << " \"" << a << "\" / \"" << b << "\"";
-      }
+      ASSERT_EQ(lev, simd::Levenshtein(a, b))
+          << "kernel \"" << a << "\" / \"" << b << "\"";
       // Contract: exact distance when <= max_distance, max_distance + 1
       // otherwise — for EVERY threshold, including 0 and values far past
       // the true distance.
@@ -110,11 +96,9 @@ void AuditAllPairs(size_t alphabet, size_t max_len) {
         const size_t expected = lev <= max_distance ? lev : max_distance + 1;
         ASSERT_EQ(expected, BoundedLevenshtein(a, b, max_distance))
             << "\"" << a << "\" / \"" << b << "\" max=" << max_distance;
-        for (const simd::KernelOps* ops : tiers) {
-          ASSERT_EQ(expected, ops->levenshtein_bounded(a, b, max_distance))
-              << ops->name << " \"" << a << "\" / \"" << b
-              << "\" max=" << max_distance;
-        }
+        ASSERT_EQ(expected, simd::BoundedLevenshtein(a, b, max_distance))
+            << "kernel \"" << a << "\" / \"" << b
+            << "\" max=" << max_distance;
       }
     }
   }

@@ -1,10 +1,9 @@
 // Differential property harness for the src/simd kernel layer: every kernel
-// tier this CPU can run (scalar, SSE4.2, AVX2, AVX-512) must return
-// *bit-identical* results to the scalar references in src/text, across
-// randomized corpora of ASCII, arbitrary-byte (UTF-8-ish), long, short,
-// empty, and all-equal strings. It also holds the proof obligation of the
-// query-side Jaro index: Jaro(a, b) == Jaro(b, a) bit for bit, on the
-// reference and on every tier, so simd::JaroWinklerQuery may index the query
+// must return *bit-identical* results to its scalar reference in src/text,
+// across randomized corpora of ASCII, arbitrary-byte (UTF-8-ish), long,
+// short, empty, and all-equal strings. It also holds the proof obligation of
+// the query-side Jaro index: Jaro(a, b) == Jaro(b, a) bit for bit, on the
+// reference and on the kernel, so simd::JaroWinklerQuery may index the query
 // and scan the candidate. The RNG seed is logged on every run and can be
 // pinned with SKETCHLINK_TEST_SEED, so any failure is replayable.
 
@@ -21,7 +20,6 @@
 
 #include "common/random.h"
 #include "simd/bit_profile.h"
-#include "simd/dispatch.h"
 #include "simd/jaro_pattern.h"
 #include "simd/kernels.h"
 #include "simd/score_batch.h"
@@ -43,7 +41,7 @@ constexpr size_t kBlockedMyersPairs = 20000;
 constexpr size_t kBoundedPairs = 100000;
 constexpr size_t kDiceIters = 50000;      // x6 q values = 300k pairs
 constexpr size_t kPruneBoundPairs = 100000;
-constexpr size_t kBatchIters = 3000;      // x each tier, >= 1 candidate each
+constexpr size_t kBatchIters = 3000;      // x 3 metrics, >= 1 candidate each
 constexpr size_t kSymmetryPairs = 1000000;
 constexpr size_t kUnfitQueryPairs = 50000;
 
@@ -59,19 +57,6 @@ uint64_t TestSeed() {
     return s;
   }();
   return seed;
-}
-
-constexpr int kMaxLevel = static_cast<int>(simd::KernelLevel::kAVX512);
-
-std::vector<const simd::KernelOps*> AllTiers() {
-  std::vector<const simd::KernelOps*> tiers;
-  for (int level = 0; level <= kMaxLevel; ++level) {
-    const simd::KernelOps* ops =
-        simd::OpsForLevel(static_cast<simd::KernelLevel>(level));
-    if (ops != nullptr) tiers.push_back(ops);
-  }
-  EXPECT_GE(tiers.size(), 1u);
-  return tiers;
 }
 
 enum class Alphabet {
@@ -161,7 +146,6 @@ std::pair<std::string, std::string> RandomPair(Rng& rng, size_t max_len) {
 
 TEST(KernelDifferentialTest, JaroMatchesScalarOnEveryTier) {
   Rng rng(TestSeed() ^ 0x1a401ULL);
-  const auto tiers = AllTiers();
   size_t fits = 0;
   for (size_t iter = 0; iter < kJaroPairs; ++iter) {
     auto [a, b] = RandomPair(rng, 64);
@@ -170,12 +154,8 @@ TEST(KernelDifferentialTest, JaroMatchesScalarOnEveryTier) {
     ++g_pairs;
     if (!pattern.fits) continue;  // covered by JaroWrapperFallsBack
     ++fits;
-    const double expected = text::Jaro(a, b);
-    for (const simd::KernelOps* ops : tiers) {
-      const double got = ops->jaro(a, b, pattern);
-      ASSERT_EQ(expected, got)
-          << ops->name << " Jaro(\"" << a << "\", \"" << b << "\")";
-    }
+    ASSERT_EQ(text::Jaro(a, b), simd::Jaro(a, b, pattern))
+        << "Jaro(\"" << a << "\", \"" << b << "\")";
   }
   // The corpus must actually exercise the bit-parallel path.
   EXPECT_GT(fits, kJaroPairs * 3 / 5);
@@ -188,30 +168,26 @@ TEST(KernelDifferentialTest, JaroWrapperFallsBackBeyondKernelLimits) {
     // text::Jaro fallback inside the wrapper.
     auto [a, b] = RandomPair(rng, 120);
     ++g_pairs;
-    ASSERT_EQ(text::Jaro(a, b), simd::Jaro(a, b)) << a << " / " << b;
+    ASSERT_EQ(text::Jaro(a, b), simd::JaroWinklerQuery(b).Jaro(a))
+        << a << " / " << b;
     ASSERT_EQ(text::JaroWinkler(a, b), simd::JaroWinkler(a, b));
     ASSERT_EQ(text::JaroWinklerDistance(a, b),
-              simd::JaroWinklerDistance(a, b));
+              1.0 - simd::JaroWinkler(a, b));
   }
 }
 
 TEST(KernelDifferentialTest, MyersLevenshteinMatchesDpOnEveryTier) {
   Rng rng(TestSeed() ^ 0x1e7ULL);
-  const auto tiers = AllTiers();
   for (size_t iter = 0; iter < kMyersPairs; ++iter) {
     auto [a, b] = RandomPair(rng, 80);
     ++g_pairs;
-    const size_t expected = text::Levenshtein(a, b);
-    for (const simd::KernelOps* ops : tiers) {
-      ASSERT_EQ(expected, ops->levenshtein(a, b))
-          << ops->name << " lev(\"" << a << "\", \"" << b << "\")";
-    }
+    ASSERT_EQ(text::Levenshtein(a, b), simd::Levenshtein(a, b))
+        << "lev(\"" << a << "\", \"" << b << "\")";
   }
 }
 
 TEST(KernelDifferentialTest, BlockedMyersMatchesDpOnLongStrings) {
   Rng rng(TestSeed() ^ 0xb10cULL);
-  const auto tiers = AllTiers();
   for (size_t iter = 0; iter < kBlockedMyersPairs; ++iter) {
     // Both sides > 64 forces the multi-word recurrence (up to 5 blocks).
     const size_t len_a = 65 + rng.UniformIndex(240);
@@ -224,31 +200,24 @@ TEST(KernelDifferentialTest, BlockedMyersMatchesDpOnLongStrings) {
     b.resize(len_b, 'q');
     if (rng.CoinFlip()) b = RandomString(rng, len_b, alphabet);
     ++g_pairs;
-    const size_t expected = text::Levenshtein(a, b);
-    for (const simd::KernelOps* ops : tiers) {
-      ASSERT_EQ(expected, ops->levenshtein(a, b)) << ops->name;
-    }
+    ASSERT_EQ(text::Levenshtein(a, b), simd::Levenshtein(a, b));
   }
 }
 
 TEST(KernelDifferentialTest, BoundedLevenshteinHonorsContractOnEveryTier) {
   Rng rng(TestSeed() ^ 0xb0edULL);
-  const auto tiers = AllTiers();
   for (size_t iter = 0; iter < kBoundedPairs; ++iter) {
     auto [a, b] = RandomPair(rng, 48);
     const size_t max_distance = rng.UniformIndex(10);
     ++g_pairs;
-    const size_t expected = text::BoundedLevenshtein(a, b, max_distance);
-    for (const simd::KernelOps* ops : tiers) {
-      ASSERT_EQ(expected, ops->levenshtein_bounded(a, b, max_distance))
-          << ops->name << " max=" << max_distance;
-    }
+    ASSERT_EQ(text::BoundedLevenshtein(a, b, max_distance),
+              simd::BoundedLevenshtein(a, b, max_distance))
+        << "max=" << max_distance;
   }
 }
 
 TEST(KernelDifferentialTest, BitProfileDiceAndJaccardMatchQgramOnEveryTier) {
   Rng rng(TestSeed() ^ 0xd1ceULL);
-  const auto tiers = AllTiers();
   // q = 1 hits the empty-profile conventions, 2 is the sketch default,
   // 7 is the widest packed gram, 8/9 exercise the wide-string fallback.
   const size_t qs[] = {1, 2, 3, 7, 8, 9};
@@ -258,29 +227,23 @@ TEST(KernelDifferentialTest, BitProfileDiceAndJaccardMatchQgramOnEveryTier) {
       const simd::BitProfile pa = simd::MakeBitProfile(a, q);
       const simd::BitProfile pb = simd::MakeBitProfile(b, q);
       ++g_pairs;
-      // The scalar reference distances, computed with the exact expression
-      // shapes of SketchPolicy::ProfileDistance / text::QGramJaccard.
+      // The scalar reference distances: 1 - text::QGramDice (its
+      // empty-profile conventions included) and text::QGramJaccard.
       const double dice = text::QGramDice(a, b, q);
       const double expected_dice_distance =
           (pa.total == 0 && pb.total == 0) ? 0.0
           : (pa.total == 0 || pb.total == 0) ? 1.0
                                              : 1.0 - dice;
-      const double expected_jaccard = text::QGramJaccard(a, b, q);
-      for (const simd::KernelOps* ops : tiers) {
-        ASSERT_EQ(expected_dice_distance, ops->profile_dice_distance(pa, pb))
-            << ops->name << " q=" << q << " a=\"" << a << "\" b=\"" << b
-            << "\"";
-        ASSERT_EQ(expected_jaccard, ops->profile_jaccard(pa, pb))
-            << ops->name << " q=" << q << " a=\"" << a << "\" b=\"" << b
-            << "\"";
-      }
+      ASSERT_EQ(expected_dice_distance, simd::ProfileDiceDistance(pa, pb))
+          << "q=" << q << " a=\"" << a << "\" b=\"" << b << "\"";
+      ASSERT_EQ(text::QGramJaccard(a, b, q), simd::ProfileJaccard(pa, pb))
+          << "q=" << q << " a=\"" << a << "\" b=\"" << b << "\"";
     }
   }
 }
 
 TEST(KernelDifferentialTest, PruneBoundsNeverExceedExactDistances) {
   Rng rng(TestSeed() ^ 0x9b0edULL);
-  const auto tiers = AllTiers();
   for (size_t iter = 0; iter < kPruneBoundPairs; ++iter) {
     auto [a, b] = RandomPair(rng, 64);
     const simd::BitProfile pa = simd::MakeBitProfile(a, 2);
@@ -294,87 +257,75 @@ TEST(KernelDifferentialTest, PruneBoundsNeverExceedExactDistances) {
                                  : static_cast<double>(text::Levenshtein(a, b)) /
                                        static_cast<double>(
                                            std::max(a.size(), b.size()));
-    for (const simd::KernelOps* ops : tiers) {
-      double jw_bound = 0.0;
-      double lev_bound = 0.0;
-      ops->jw_length_bounds(len_a, &len_b, 1, &jw_bound);
-      ops->lev_length_bounds(len_a, &len_b, 1, &lev_bound);
-      ASSERT_LE(jw_bound, jw_exact) << ops->name << " " << a << "/" << b;
-      ASSERT_LE(lev_bound, lev_exact) << ops->name;
-      const double dice_bound = ops->dice_distance_bound(pa, pb);
-      const double dice_exact = ops->profile_dice_distance(pa, pb);
-      ASSERT_LE(dice_bound, dice_exact) << ops->name;
-    }
+    double jw_bound = 0.0;
+    double lev_bound = 0.0;
+    simd::JwLengthBounds(len_a, &len_b, 1, &jw_bound);
+    simd::LevLengthBounds(len_a, &len_b, 1, &lev_bound);
+    ASSERT_LE(jw_bound, jw_exact) << a << "/" << b;
+    ASSERT_LE(lev_bound, lev_exact);
+    ASSERT_LE(simd::DiceDistanceBound(pa, pb),
+              simd::ProfileDiceDistance(pa, pb));
   }
 }
 
 TEST(KernelDifferentialTest, BatchScoreEqualsScalarArgminScan) {
   Rng rng(TestSeed() ^ 0xba7c4ULL);
-  // Every dispatch tier must produce the same argmin as a plain scalar scan
-  // with the strict `<` update rule of SketchPolicy::ChooseSubBlock. The
-  // candidates carry no Jaro pattern: the kJaroWinkler query indexes itself,
-  // and its distances must equal the rep-side scalar reference.
-  for (int level = 0; level <= kMaxLevel; ++level) {
-    const simd::KernelLevel requested = static_cast<simd::KernelLevel>(level);
-    if (simd::OpsForLevel(requested) == nullptr) continue;
-    ASSERT_EQ(simd::SetActiveLevelForTesting(requested), requested);
-    for (size_t iter = 0; iter < kBatchIters; ++iter) {
-      const size_t n = 1 + rng.UniformIndex(24);
-      std::vector<std::string> reps;
-      std::vector<simd::BitProfile> profiles(n);
-      auto [query, first] = RandomPair(rng, 40);
-      reps.push_back(first);
-      for (size_t i = 1; i < n; ++i) {
-        reps.push_back(RandomPair(rng, 40).second);
-      }
-      std::vector<simd::BatchCandidate> candidates(n);
-      for (size_t i = 0; i < n; ++i) {
-        profiles[i] = simd::MakeBitProfile(reps[i], 2);
-        candidates[i] = {reps[i], &profiles[i]};
-      }
-      const simd::BitProfile query_profile = simd::MakeBitProfile(query, 2);
-      g_pairs += n;
+  // The batch must produce the same argmin as a plain scalar scan with the
+  // strict `<` update rule of SketchPolicy::ChooseSubBlock. The candidates
+  // carry no Jaro pattern: the kJaroWinkler query indexes itself, and its
+  // distances must equal the rep-side scalar reference.
+  for (size_t iter = 0; iter < kBatchIters; ++iter) {
+    const size_t n = 1 + rng.UniformIndex(24);
+    std::vector<std::string> reps;
+    std::vector<simd::BitProfile> profiles(n);
+    auto [query, first] = RandomPair(rng, 40);
+    reps.push_back(first);
+    for (size_t i = 1; i < n; ++i) {
+      reps.push_back(RandomPair(rng, 40).second);
+    }
+    std::vector<simd::BatchCandidate> candidates(n);
+    for (size_t i = 0; i < n; ++i) {
+      profiles[i] = simd::MakeBitProfile(reps[i], 2);
+      candidates[i] = {reps[i], &profiles[i]};
+    }
+    const simd::BitProfile query_profile = simd::MakeBitProfile(query, 2);
+    g_pairs += n;
 
-      const simd::BatchQuery jw(simd::BatchMetric::kJaroWinkler, query);
+    const simd::BatchQuery jw(simd::BatchMetric::kJaroWinkler, query);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(text::JaroWinklerDistance(query, reps[i]),
+                jw.Distance(candidates[i]))
+          << "query=\"" << query << "\" rep=\"" << reps[i] << "\"";
+    }
+    const simd::BatchQuery dice(simd::BatchMetric::kQGramDice, query,
+                                &query_profile);
+    const simd::BatchQuery lev(simd::BatchMetric::kLevenshtein, query);
+    for (const simd::BatchQuery* batch : {&jw, &dice, &lev}) {
+      size_t best_index = SIZE_MAX;
+      double best = std::numeric_limits<double>::infinity();
       for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(text::JaroWinklerDistance(query, reps[i]),
-                  jw.Distance(candidates[i]))
-            << "level=" << level << " query=\"" << query << "\" rep=\""
-            << reps[i] << "\"";
-      }
-      const simd::BatchQuery dice(simd::BatchMetric::kQGramDice, query,
-                                  &query_profile);
-      const simd::BatchQuery lev(simd::BatchMetric::kLevenshtein, query);
-      for (const simd::BatchQuery* batch : {&jw, &dice, &lev}) {
-        size_t best_index = SIZE_MAX;
-        double best = std::numeric_limits<double>::infinity();
-        for (size_t i = 0; i < n; ++i) {
-          const double d = batch->Distance(candidates[i]);
-          if (d < best) {
-            best = d;
-            best_index = i;
-          }
+        const double d = batch->Distance(candidates[i]);
+        if (d < best) {
+          best = d;
+          best_index = i;
         }
-        const simd::BatchResult result =
-            batch->Score(candidates.data(), n);
-        ASSERT_EQ(best_index, result.best_index)
-            << "metric=" << static_cast<int>(batch->metric())
-            << " level=" << level << " query=\"" << query << "\"";
-        ASSERT_EQ(best, result.best_distance);
-        ASSERT_EQ(result.evaluated + result.pruned, n);
       }
+      const simd::BatchResult result = batch->Score(candidates.data(), n);
+      ASSERT_EQ(best_index, result.best_index)
+          << "metric=" << static_cast<int>(batch->metric()) << " query=\""
+          << query << "\"";
+      ASSERT_EQ(best, result.best_distance);
+      ASSERT_EQ(result.evaluated + result.pruned, n);
     }
   }
-  simd::ResetActiveLevelForTesting();
 }
 
-/// Checks one pair both ways: text::Jaro is symmetric bit for bit, every
-/// tier's kernel returns the same double whichever side it indexes, and a
-/// query object bound to either side (per tier) returns
-/// text::JaroWinkler(a, b). An unfit side (> 64 bytes, > 32 distinct bytes)
-/// only skips the kernel calls that need its pattern.
-void ExpectSymmetric(const std::string& a, const std::string& b,
-                     const std::vector<const simd::KernelOps*>& tiers) {
+/// Checks one pair both ways: text::Jaro is symmetric bit for bit, the
+/// kernel returns the same double whichever side it indexes, and a query
+/// object bound to either side returns text::JaroWinkler(a, b). An unfit
+/// side (> 64 bytes, > 32 distinct bytes) only skips the kernel calls that
+/// need its pattern.
+void ExpectSymmetric(const std::string& a, const std::string& b) {
   const double jaro = text::Jaro(a, b);
   ASSERT_EQ(jaro, text::Jaro(b, a)) << "\"" << a << "\" / \"" << b << "\"";
   const double jaro_winkler = text::JaroWinkler(a, b);
@@ -382,30 +333,22 @@ void ExpectSymmetric(const std::string& a, const std::string& b,
   simd::JaroPattern pb;
   simd::BuildJaroPattern(a, &pa);
   simd::BuildJaroPattern(b, &pb);
-  for (const simd::KernelOps* ops : tiers) {
-    if (pb.fits) {
-      ASSERT_EQ(jaro, ops->jaro(a, b, pb))
-          << ops->name << " \"" << a << "\" / \"" << b << "\"";
-    }
-    if (pa.fits) {
-      ASSERT_EQ(jaro, ops->jaro(b, a, pa))
-          << ops->name << " \"" << b << "\" / \"" << a << "\"";
-    }
+  if (pb.fits) {
+    ASSERT_EQ(jaro, simd::Jaro(a, b, pb))
+        << "\"" << a << "\" / \"" << b << "\"";
   }
-  for (int level = 0; level <= kMaxLevel; ++level) {
-    const auto tier = static_cast<simd::KernelLevel>(level);
-    if (simd::OpsForLevel(tier) == nullptr) continue;
-    simd::SetActiveLevelForTesting(tier);
-    const simd::JaroWinklerQuery query_a(a);
-    const simd::JaroWinklerQuery query_b(b);
-    simd::ResetActiveLevelForTesting();
-    ASSERT_EQ(jaro, query_a.Jaro(b)) << "level=" << level;
-    ASSERT_EQ(jaro, query_b.Jaro(a)) << "level=" << level;
-    ASSERT_EQ(jaro_winkler, query_a.Similarity(b))
-        << "level=" << level << " \"" << a << "\" / \"" << b << "\"";
-    ASSERT_EQ(jaro_winkler, query_b.Similarity(a))
-        << "level=" << level << " \"" << b << "\" / \"" << a << "\"";
+  if (pa.fits) {
+    ASSERT_EQ(jaro, simd::Jaro(b, a, pa))
+        << "\"" << b << "\" / \"" << a << "\"";
   }
+  const simd::JaroWinklerQuery query_a(a);
+  const simd::JaroWinklerQuery query_b(b);
+  ASSERT_EQ(jaro, query_a.Jaro(b));
+  ASSERT_EQ(jaro, query_b.Jaro(a));
+  ASSERT_EQ(jaro_winkler, query_a.Similarity(b))
+      << "\"" << a << "\" / \"" << b << "\"";
+  ASSERT_EQ(jaro_winkler, query_b.Similarity(a))
+      << "\"" << b << "\" / \"" << a << "\"";
 }
 
 TEST(JaroSymmetryTest, ExhaustiveOverThreeLettersUpToLengthSeven) {
@@ -420,21 +363,10 @@ TEST(JaroSymmetryTest, ExhaustiveOverThreeLettersUpToLengthSeven) {
     begin = end;
   }
   ASSERT_EQ(strings.size(), 3280u);
-  const auto tiers = AllTiers();
-  // Bind every string once per tier up front; ExpectSymmetric's per-pair
-  // binding would dominate at this pair count.
-  std::vector<std::vector<simd::JaroWinklerQuery>> queries;
-  for (int level = 0; level <= kMaxLevel; ++level) {
-    const auto tier = static_cast<simd::KernelLevel>(level);
-    if (simd::OpsForLevel(tier) == nullptr) continue;
-    simd::SetActiveLevelForTesting(tier);
-    queries.emplace_back(strings.size());
-    for (size_t i = 0; i < strings.size(); ++i) {
-      queries.back()[i].Bind(strings[i]);
-    }
-  }
-  simd::ResetActiveLevelForTesting();
-  ASSERT_EQ(queries.size(), tiers.size());
+  // Bind every string once up front; ExpectSymmetric's per-pair binding
+  // would dominate at this pair count.
+  std::vector<simd::JaroWinklerQuery> queries(strings.size());
+  for (size_t i = 0; i < strings.size(); ++i) queries[i].Bind(strings[i]);
   std::vector<simd::JaroPattern> patterns(strings.size());
   for (size_t i = 0; i < strings.size(); ++i) {
     simd::BuildJaroPattern(strings[i], &patterns[i]);
@@ -447,16 +379,10 @@ TEST(JaroSymmetryTest, ExhaustiveOverThreeLettersUpToLengthSeven) {
       const double jaro = text::Jaro(a, b);
       ASSERT_EQ(jaro, text::Jaro(b, a)) << a << " / " << b;
       const double jaro_winkler = text::JaroWinkler(a, b);
-      for (size_t t = 0; t < tiers.size(); ++t) {
-        ASSERT_EQ(jaro, tiers[t]->jaro(a, b, patterns[j]))
-            << tiers[t]->name << " " << a << " / " << b;
-        ASSERT_EQ(jaro, tiers[t]->jaro(b, a, patterns[i]))
-            << tiers[t]->name << " " << b << " / " << a;
-        ASSERT_EQ(jaro_winkler, queries[t][i].Similarity(b))
-            << tiers[t]->name << " " << a << " / " << b;
-        ASSERT_EQ(jaro_winkler, queries[t][j].Similarity(a))
-            << tiers[t]->name << " " << b << " / " << a;
-      }
+      ASSERT_EQ(jaro, simd::Jaro(a, b, patterns[j])) << a << " / " << b;
+      ASSERT_EQ(jaro, simd::Jaro(b, a, patterns[i])) << b << " / " << a;
+      ASSERT_EQ(jaro_winkler, queries[i].Similarity(b)) << a << " / " << b;
+      ASSERT_EQ(jaro_winkler, queries[j].Similarity(a)) << b << " / " << a;
     }
   }
 }
@@ -466,11 +392,10 @@ TEST(JaroSymmetryTest, RandomPairsIncludingNearCopies) {
   // alphabets; RandomPair makes near-copies (the record-linkage case) for a
   // quarter of the pairs, and byte strings overflow the 32-slot pattern.
   Rng rng(TestSeed() ^ 0x5e77e7ULL);
-  const auto tiers = AllTiers();
   for (size_t iter = 0; iter < kSymmetryPairs; ++iter) {
     const auto [a, b] = RandomPair(rng, 64);
     ++g_pairs;
-    ExpectSymmetric(a, b, tiers);
+    ExpectSymmetric(a, b);
     if (HasFatalFailure()) return;
   }
 }
@@ -480,7 +405,6 @@ TEST(JaroSymmetryTest, QueriesThePatternCannotHoldFallBackExactly) {
   // through text::Jaro; candidates of any length scan against a fitting
   // query. Both must still equal text::JaroWinkler(query, candidate).
   Rng rng(TestSeed() ^ 0x0f17ULL);
-  const auto tiers = AllTiers();
   size_t long_queries = 0;
   size_t wide_queries = 0;
   for (size_t iter = 0; iter < kUnfitQueryPairs; ++iter) {
@@ -516,7 +440,7 @@ TEST(JaroSymmetryTest, QueriesThePatternCannotHoldFallBackExactly) {
     simd::BuildJaroPattern(query, &pattern);
     ASSERT_EQ(pattern.fits, iter % 3 == 2);
     ++g_pairs;
-    ExpectSymmetric(query, candidate, tiers);
+    ExpectSymmetric(query, candidate);
     if (HasFatalFailure()) return;
   }
   EXPECT_GT(long_queries, 0u);
@@ -526,7 +450,7 @@ TEST(JaroSymmetryTest, QueriesThePatternCannotHoldFallBackExactly) {
 TEST(KernelDifferentialTest, HarnessMetMillionPairBudget) {
   // Static sum of the per-test budgets above (every test iterates exactly
   // its constant; the batch test contributes at least one pair per iter per
-  // tier). ctest runs each case in its own process, so this is the only
+  // metric). ctest runs each case in its own process, so this is the only
   // process-independent way to state the suite-wide budget.
   constexpr size_t kSuitePairs = kJaroPairs + kJaroFallbackPairs +
                                  kMyersPairs + kBlockedMyersPairs +
