@@ -14,7 +14,6 @@
 #include "text/jaro.h"
 #include "text/normalize.h"
 #include "text/qgram.h"
-#include "text/soundex.h"
 
 namespace sketchlink::text {
 namespace {
@@ -77,17 +76,6 @@ void BM_DoubleMetaphone(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DoubleMetaphone);
-
-void BM_Soundex(benchmark::State& state) {
-  const auto strings = MakeStrings(1024, 12, 5);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Soundex(strings[i % 1024]));
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Soundex);
 
 void BM_QGramDice(benchmark::State& state) {
   const auto strings = MakeStrings(1024, 16, 6);

@@ -68,17 +68,12 @@ Result<std::vector<RecordId>> InvIndexMatcher::Resolve(
   (void)keys;
   (void)key_values;
   const std::vector<std::string> query_values = FieldValues(query);
-  const size_t num_fields =
-      std::max<size_t>(similarity_.match_fields().size(), 1);
 
-  // score[id] accumulates the best value-level similarity contributed by
-  // each query field; hits[id] counts how many query fields contributed. A
-  // record is reported only when EVERY query field found a phonetically
-  // reachable similar value on it — the scheme has no other evidence that
-  // the record agrees on that field, and a field whose Double Metaphone
-  // code was broken by a typo contributes nothing (the recall weakness the
-  // paper attributes to INV).
-  std::unordered_map<RecordId, double> score;
+  // hits[id] counts how many query fields found a phonetically reachable
+  // similar value on the record. A record is reported only when EVERY query
+  // field did — the scheme has no other evidence that the record agrees on
+  // that field, and a field whose Double Metaphone code was broken by a typo
+  // contributes nothing (the recall weakness the paper attributes to INV).
   std::unordered_map<RecordId, size_t> hits;
   for (const std::string& value : query_values) {
     const std::string code = BucketCode(value);
@@ -114,24 +109,18 @@ Result<std::vector<RecordId>> InvIndexMatcher::Resolve(
         best = std::max(best, sim);
       }
     }
-    for (const auto& [id, best] : field_best) {
-      score[id] += best;
-      ++hits[id];
-    }
+    for (const auto& [id, best] : field_best) ++hits[id];
   }
 
   // The result set is the retrieval survivors: records every query field
   // could reach through its Double Metaphone bucket with a value similarity
-  // above the floor. A final record-score cut is applied only at the record
-  // threshold over the (possibly wrong-field) value evidence — phonetic
-  // grouping of non-matching values therefore leaks false positives, and a
-  // single DM-broken field loses the pair, the two weaknesses Sec. 7
-  // attributes to INV.
-  (void)num_fields;
+  // above the floor, with no record-score cut over that (possibly
+  // wrong-field) value evidence — phonetic grouping of non-matching values
+  // therefore leaks false positives, and a single DM-broken field loses the
+  // pair, the two weaknesses Sec. 7 attributes to INV.
   std::vector<RecordId> matches;
-  for (const auto& [id, total] : score) {
-    if (hits[id] < query_values.size()) continue;
-    matches.push_back(id);
+  for (const auto& [id, count] : hits) {
+    if (count == query_values.size()) matches.push_back(id);
   }
   std::sort(matches.begin(), matches.end());
   return matches;

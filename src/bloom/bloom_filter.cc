@@ -54,27 +54,9 @@ size_t BloomFilter::CountSetBits() const {
   return count;
 }
 
-double BloomFilter::EstimatedFpRate() const {
-  const double m = static_cast<double>(num_bits());
-  const double kn = static_cast<double>(num_hashes_) *
-                    static_cast<double>(insert_count_);
-  return std::pow(1.0 - std::exp(-kn / m), num_hashes_);
-}
-
 void BloomFilter::Clear() {
   std::fill(bits_.begin(), bits_.end(), 0);
   insert_count_ = 0;
-}
-
-Status BloomFilter::UnionWith(const BloomFilter& other) {
-  if (other.bits_.size() != bits_.size() ||
-      other.num_hashes_ != num_hashes_ || other.seed_ != seed_) {
-    return Status::InvalidArgument(
-        "cannot union Bloom filters with different geometry");
-  }
-  for (size_t i = 0; i < bits_.size(); ++i) bits_[i] |= other.bits_[i];
-  insert_count_ += other.insert_count_;
-  return Status::OK();
 }
 
 size_t BloomFilter::ApproximateMemoryUsage() const {

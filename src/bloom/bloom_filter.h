@@ -52,15 +52,8 @@ class BloomFilter {
   /// Number of bits currently set to 1.
   size_t CountSetBits() const;
 
-  /// Expected false-positive rate given the current fill: (1 - e^{-kn/m})^k.
-  double EstimatedFpRate() const;
-
   /// Resets all bits to zero.
   void Clear();
-
-  /// Bitwise-ORs another filter into this one. The filters must have equal
-  /// geometry (bits, hashes, seed).
-  Status UnionWith(const BloomFilter& other);
 
   /// Bytes of memory held by this filter (bit array + bookkeeping).
   size_t ApproximateMemoryUsage() const;

@@ -7,30 +7,10 @@
 
 namespace sketchlink {
 
-/// Explicit byte accounting for in-memory structures. The paper's Figure 6b
-/// compares the resident footprint of SkipBloom against a plain hash map;
-/// rather than scraping the allocator, every summarization structure in this
-/// library reports its own footprint via ApproximateMemoryUsage(), and this
-/// helper centralizes the per-component arithmetic used in those reports.
-class MemoryTracker {
- public:
-  MemoryTracker() = default;
-
-  /// Records `bytes` under the running total.
-  void Add(size_t bytes) { bytes_ += bytes; }
-
-  /// Removes `bytes` from the running total (clamped at zero).
-  void Subtract(size_t bytes) { bytes_ -= (bytes > bytes_) ? bytes_ : bytes; }
-
-  /// Current tracked total in bytes.
-  size_t bytes() const { return bytes_; }
-
-  /// Resets the total to zero.
-  void Reset() { bytes_ = 0; }
-
- private:
-  size_t bytes_ = 0;
-};
+// Byte-accounting helpers. The paper's Figure 6b compares the resident
+// footprint of SkipBloom against a plain hash map; rather than scraping the
+// allocator, every summarization structure in this library reports its own
+// footprint via ApproximateMemoryUsage(), built from these helpers.
 
 /// Approximate heap footprint of a std::string, counting the SSO buffer as
 /// part of the object (callers add sizeof(std::string) separately only when

@@ -10,6 +10,15 @@
 
 namespace sketchlink {
 
+namespace {
+
+// Backpressure bound on evictions handed to the maintenance thread but not
+// yet durably written: an eviction waits for a free slot rather than letting
+// the write-behind buffer grow without bound.
+constexpr size_t kMaxPendingSpills = 8;
+
+}  // namespace
+
 SBlockSketch::SBlockSketch(const SBlockSketchOptions& options,
                            kv::Db* spill_db, KeyDistanceFn distance,
                            MaintenanceQueue* maintenance)
@@ -126,7 +135,7 @@ Status SBlockSketch::EvictOne() {
   {
     std::unique_lock<std::mutex> pl(pending_mu_);
     pending_cv_.wait(pl, [this] {
-      return in_flight_spills_ < options_.max_pending_spills;
+      return in_flight_spills_ < kMaxPendingSpills;
     });
     pending_[victim.key] = PendingSpill{victim.block, SpillState::kQueued};
     ++in_flight_spills_;

@@ -35,15 +35,6 @@ struct SBlockSketchOptions {
   /// w = 1.5).
   double w = 1.5;
   EvictionPolicy policy = EvictionPolicy::kEvictionStatus;
-  /// Spill evicted blocks on a background maintenance thread instead of the
-  /// evicting caller's path. Consumed by the sharded wrapper (which owns
-  /// the maintenance thread); a bare SBlockSketch spills in the background
-  /// iff its constructor received a MaintenanceQueue.
-  bool background_spill = true;
-  /// Backpressure bound on evictions handed to the maintenance thread but
-  /// not yet durably written: an eviction waits for a free slot rather than
-  /// letting the write-behind buffer grow without bound.
-  size_t max_pending_spills = 8;
 };
 
 /// SBlockSketch (paper Sec. 6): BlockSketch for unbounded streams under a

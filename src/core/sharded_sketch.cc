@@ -189,14 +189,12 @@ ShardedSBlockSketch::ShardedSBlockSketch(const SBlockSketchOptions& options,
     : options_(options) {
   if (num_stripes == 0) num_stripes = 1;
   stripes_.reserve(num_stripes);
-  MaintenanceQueue* maintenance =
-      options.background_spill ? &maintenance_ : nullptr;
   for (size_t s = 0; s < num_stripes; ++s) {
     SBlockSketchOptions stripe_options = options;
     stripe_options.sketch.seed = StripeSeed(options.sketch.seed, s);
     stripe_options.mu = StripeMuBudget(options.mu, num_stripes, s);
-    stripes_.push_back(std::make_unique<SBlockSketch>(stripe_options, spill_db,
-                                                      distance, maintenance));
+    stripes_.push_back(std::make_unique<SBlockSketch>(
+        stripe_options, spill_db, distance, &maintenance_));
   }
 }
 

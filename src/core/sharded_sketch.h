@@ -105,9 +105,8 @@ class ShardedBlockSketch {
 /// (each stripe evicts independently once its share is full; see
 /// StripeMuBudget); all stripes share the caller's spill store, which must
 /// itself be thread-safe (kv::Db is). Keys never cross stripes, so spilled
-/// blocks cannot collide. When options.background_spill is set, this
-/// wrapper owns one maintenance thread shared by all stripes: eviction
-/// encode+spill runs there, off every caller's path.
+/// blocks cannot collide. This wrapper owns one maintenance thread shared by
+/// all stripes: eviction encode+spill runs there, off every caller's path.
 class ShardedSBlockSketch {
  public:
   static constexpr size_t kDefaultStripes = 16;

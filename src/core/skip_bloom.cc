@@ -135,29 +135,6 @@ std::vector<std::string> SkipBloom::SampledKeys() const {
   return keys;
 }
 
-double SkipBloom::EstimateDistinctKeys() const {
-  const double inverse_p = std::sqrt(static_cast<double>(
-      std::max<uint64_t>(options_.expected_keys, 1)));
-  // list_.size() includes the sentinel; real sampled keys are size() - 1.
-  const double sampled =
-      static_cast<double>(list_.size() > 0 ? list_.size() - 1 : 0);
-  return sampled * inverse_p;
-}
-
-double SkipBloom::EstimateRangeCount(std::string_view lo,
-                                     std::string_view hi) const {
-  if (hi < lo) return 0.0;
-  const double inverse_p = std::sqrt(static_cast<double>(
-      std::max<uint64_t>(options_.expected_keys, 1)));
-  size_t in_range = 0;
-  for (auto it = list_.NewIterator(); it.Valid(); it.Next()) {
-    if (it.key().empty()) continue;  // sentinel
-    if (it.key() > hi) break;        // sorted order
-    if (it.key() >= lo) ++in_range;
-  }
-  return static_cast<double>(in_range) * inverse_p;
-}
-
 namespace {
 
 constexpr uint32_t kSkipBloomMagic = 0x534b4250;  // "SKBP"

@@ -84,18 +84,6 @@ class SkipBloom {
   /// its Monte-Carlo sample (Sec. 4.3).
   std::vector<std::string> SampledKeys() const;
 
-  /// Estimated number of distinct keys summarized: each base-level key
-  /// represents 1/p = sqrt(expected_keys) keys of the stream in expectation
-  /// (Horvitz-Thompson over the Bernoulli sample). Relative error shrinks
-  /// as 1/sqrt(sample size).
-  double EstimateDistinctKeys() const;
-
-  /// Estimated number of distinct keys in [lo, hi] (inclusive), by scaling
-  /// the sampled keys falling in the range — the "database summarization
-  /// beyond record linkage" direction the paper's introduction gestures at
-  /// (e.g. sizing a planned linkage of one alphabetical shard).
-  double EstimateRangeCount(std::string_view lo, std::string_view hi) const;
-
   /// Number of base-level blocks.
   size_t num_blocks() const { return list_.size(); }
 

@@ -9,40 +9,18 @@
 
 namespace sketchlink {
 
-/// Per-field comparator selection. The paper's evaluation uses Jaro-Winkler
-/// everywhere; the other kinds are configuration for data whose fields are
-/// not name-like (numeric results, categorical codes, multi-token author
-/// lists, noisy free text).
-enum class FieldComparatorKind {
-  kJaroWinkler,    // the evaluation default
-  kExact,          // 1.0 / 0.0
-  kNumeric,        // 1 - |a-b| / max(|a|,|b|); falls back to JW if unparsable
-  kMongeElkan,     // token-reordering-tolerant (JW inner)
-  kSmithWaterman,  // local alignment (ignores flanking junk)
-};
-
-/// One compared field: index, comparator, and weight in the record score.
-struct FieldSpec {
-  int field_index = 0;
-  FieldComparatorKind comparator = FieldComparatorKind::kJaroWinkler;
-  double weight = 1.0;
-};
-
 /// Record-pair similarity used by the matching phase of every method in the
-/// evaluation: the weighted mean of per-field similarities over the
-/// normalized match fields (the paper uses Jaro-Winkler on every field with
-/// threshold theta' = 0.75, which is what the index-list constructor
-/// configures).
+/// evaluation (Sec. 5): the mean Jaro-Winkler similarity over the normalized
+/// match fields, with threshold theta' = 0.75.
 class RecordSimilarity {
  public:
-  /// `match_fields` lists the field indexes compared with Jaro-Winkler at
-  /// weight 1 (the paper's setup); `threshold` is theta'.
+  /// `match_fields` lists the compared field indexes, in scoring order (a
+  /// field a record lacks compares as the empty string); `threshold` is
+  /// theta'.
   RecordSimilarity(std::vector<int> match_fields, double threshold = 0.75);
 
-  /// Fully typed configuration: per-field comparators and weights.
-  RecordSimilarity(std::vector<FieldSpec> fields, double threshold);
-
-  /// Mean Jaro-Winkler similarity over the match fields, in [0, 1].
+  /// Mean Jaro-Winkler similarity over the match fields, in [0, 1]: the sum
+  /// in field order divided by the field count; 0 with no match fields.
   double Similarity(const Record& a, const Record& b) const;
 
   /// True when Similarity(a, b) >= threshold.
@@ -56,25 +34,19 @@ class RecordSimilarity {
 
   double threshold() const { return threshold_; }
   const std::vector<int>& match_fields() const { return match_fields_; }
-  const std::vector<FieldSpec>& field_specs() const { return specs_; }
 
  private:
-  std::vector<int> match_fields_;  // plain index view (kept for callers)
-  std::vector<FieldSpec> specs_;
+  std::vector<int> match_fields_;
   double threshold_;
 };
-
-/// Similarity of two normalized values under one comparator kind.
-double CompareFieldValues(FieldComparatorKind kind, const std::string& a,
-                          const std::string& b);
 
 /// Query-side-memoized similarity: RecordSimilarity::Similarity normalizes
 /// BOTH records' fields on every call, so verifying one query against k
 /// candidates re-normalizes the query k times. A scorer normalizes the
-/// query's match fields once when bound, indexes each Jaro-Winkler field
-/// once (simd::JaroWinklerQuery, so a candidate costs only the kernel
-/// scan), and returns exactly RecordSimilarity::Similarity(query,
-/// candidate) afterwards. The verified query routine keeps one per thread
+/// query's match fields once when bound, indexes each of them once
+/// (simd::JaroWinklerQuery, so a candidate costs only the kernel scan), and
+/// returns exactly RecordSimilarity::Similarity(query, candidate)
+/// afterwards. The verified query routine keeps one per thread
 /// and re-binds it to each query.
 class SimilarityScorer {
  public:
@@ -116,17 +88,13 @@ class SimilarityScorer {
 
  private:
   struct QueryField {
-    FieldSpec spec;
+    size_t index = 0;                // the record field compared
     std::string value;               // normalized query-side field value
-    simd::JaroWinklerQuery indexed;  // bound to `value` under kJaroWinkler
+    simd::JaroWinklerQuery indexed;  // bound to `value`
   };
 
-  /// One field's similarity: the indexed query under kJaroWinkler,
-  /// CompareFieldValues otherwise.
-  static double Compare(const QueryField& field, const std::string& candidate);
-
-  /// The weighted mean over the match fields; `field_at(i)` is the
-  /// candidate's raw field i (empty when it has none).
+  /// The mean over the match fields; `field_at(i)` is the candidate's raw
+  /// field i (empty when it has none).
   template <typename FieldAt>
   double Score(const FieldAt& field_at, std::string* scratch) const;
 

@@ -89,13 +89,6 @@ size_t DamerauOsa(std::string_view a, std::string_view b) {
   return prev[m];
 }
 
-double LevenshteinSimilarity(std::string_view a, std::string_view b) {
-  const size_t longest = std::max(a.size(), b.size());
-  if (longest == 0) return 1.0;
-  return 1.0 - static_cast<double>(Levenshtein(a, b)) /
-                   static_cast<double>(longest);
-}
-
 double NormalizedLevenshteinDistance(std::string_view a, std::string_view b) {
   const size_t longest = std::max(a.size(), b.size());
   if (longest == 0) return 0.0;

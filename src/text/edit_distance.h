@@ -23,10 +23,6 @@ size_t BoundedLevenshtein(std::string_view a, std::string_view b,
 /// is the natural distance for its ground truth.
 size_t DamerauOsa(std::string_view a, std::string_view b);
 
-/// Normalized edit similarity in [0,1]: 1 - dist/max(|a|,|b|); 1 for two
-/// empty strings.
-double LevenshteinSimilarity(std::string_view a, std::string_view b);
-
 /// Normalized edit distance in [0,1]: dist/max(|a|,|b|); 0 for two empty
 /// strings. The routing metric behind KeyDistanceKind::kLevenshtein.
 double NormalizedLevenshteinDistance(std::string_view a, std::string_view b);

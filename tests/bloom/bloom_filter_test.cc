@@ -66,26 +66,6 @@ TEST(BloomFilterTest, PaperGeometry32kBitsFor5kKeys) {
   EXPECT_LT(static_cast<double>(fp) / probes, 0.08);
 }
 
-TEST(BloomFilterTest, UnionCombinesMembership) {
-  BloomFilter a(2048, 4, 7);
-  BloomFilter b(2048, 4, 7);
-  a.Insert("left");
-  b.Insert("right");
-  ASSERT_TRUE(a.UnionWith(b).ok());
-  EXPECT_TRUE(a.MayContain("left"));
-  EXPECT_TRUE(a.MayContain("right"));
-}
-
-TEST(BloomFilterTest, UnionRejectsMismatchedGeometry) {
-  BloomFilter a(2048, 4, 7);
-  BloomFilter b(4096, 4, 7);
-  EXPECT_TRUE(a.UnionWith(b).IsInvalidArgument());
-  BloomFilter c(2048, 5, 7);
-  EXPECT_TRUE(a.UnionWith(c).IsInvalidArgument());
-  BloomFilter d(2048, 4, 8);
-  EXPECT_TRUE(a.UnionWith(d).IsInvalidArgument());
-}
-
 TEST(BloomFilterTest, EncodeDecodeRoundTrip) {
   BloomFilter filter(4096, 5, 99);
   for (int i = 0; i < 200; ++i) filter.Insert("item" + std::to_string(i));
@@ -110,14 +90,6 @@ TEST(BloomFilterTest, DecodeTruncatedFails) {
   encoded.resize(encoded.size() / 2);
   std::string_view input(encoded);
   EXPECT_TRUE(BloomFilter::DecodeFrom(&input).status().IsCorruption());
-}
-
-TEST(BloomFilterTest, EstimatedFpGrowsWithLoad) {
-  BloomFilter filter(1024, 4);
-  const double empty_fp = filter.EstimatedFpRate();
-  for (int i = 0; i < 400; ++i) filter.Insert(std::to_string(i));
-  EXPECT_GT(filter.EstimatedFpRate(), empty_fp);
-  EXPECT_LE(filter.EstimatedFpRate(), 1.0);
 }
 
 TEST(BloomFilterTest, MemoryUsageScalesWithBits) {

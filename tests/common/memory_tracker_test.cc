@@ -5,30 +5,6 @@
 namespace sketchlink {
 namespace {
 
-TEST(MemoryTrackerTest, AddAndSubtract) {
-  MemoryTracker tracker;
-  EXPECT_EQ(tracker.bytes(), 0u);
-  tracker.Add(100);
-  tracker.Add(50);
-  EXPECT_EQ(tracker.bytes(), 150u);
-  tracker.Subtract(30);
-  EXPECT_EQ(tracker.bytes(), 120u);
-}
-
-TEST(MemoryTrackerTest, SubtractClampsAtZero) {
-  MemoryTracker tracker;
-  tracker.Add(10);
-  tracker.Subtract(100);
-  EXPECT_EQ(tracker.bytes(), 0u);
-}
-
-TEST(MemoryTrackerTest, Reset) {
-  MemoryTracker tracker;
-  tracker.Add(512);
-  tracker.Reset();
-  EXPECT_EQ(tracker.bytes(), 0u);
-}
-
 TEST(MemoryTrackerTest, ShortStringHasNoHeap) {
   std::string sso = "short";
   EXPECT_EQ(StringHeapBytes(sso), 0u);

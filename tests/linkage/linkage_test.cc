@@ -5,10 +5,15 @@
 #include <thread>
 #include <vector>
 
+#include "blocking/presets.h"
+#include "datagen/generators.h"
+#include "datagen/perturb.h"
 #include "kv/env.h"
 #include "linkage/metrics.h"
 #include "linkage/record_store.h"
 #include "linkage/similarity.h"
+#include "text/jaro.h"
+#include "text/normalize.h"
 
 namespace sketchlink {
 namespace {
@@ -30,9 +35,9 @@ TEST(RecordSimilarityTest, IdenticalRecordsScoreOne) {
 }
 
 TEST(SimilarityScorerTest, RecordAndViewScoresEqualTheReferenceBitForBit) {
-  // Mixed comparators over unsorted field indexes, one past the record's
-  // fields and one past the scorer's slice buffer; values the Jaro pattern
-  // cannot hold (> 64 bytes, > 32 distinct bytes) fall back exactly.
+  // Unsorted field indexes, one past the record's fields and one past the
+  // scorer's slice buffer; values the Jaro pattern cannot hold (> 64 bytes,
+  // > 32 distinct bytes) fall back exactly.
   const std::string long_value(70, 'A');
   std::string wide_value;
   for (char c = '!'; c < '!' + 40; ++c) wide_value.push_back(c);
@@ -46,18 +51,7 @@ TEST(SimilarityScorerTest, RecordAndViewScoresEqualTheReferenceBitForBit) {
   base[5] = long_value;
   base[7] = wide_value;
   base[40] = "FARAWAY";
-  const RecordSimilarity similarity(
-      std::vector<FieldSpec>{
-          {3, FieldComparatorKind::kMongeElkan, 0.5},
-          {0, FieldComparatorKind::kJaroWinkler, 2.0},
-          {2, FieldComparatorKind::kNumeric, 1.0},
-          {5, FieldComparatorKind::kJaroWinkler, 1.0},
-          {7, FieldComparatorKind::kJaroWinkler, 1.0},
-          {1, FieldComparatorKind::kExact, 1.0},
-          {4, FieldComparatorKind::kSmithWaterman, 1.0},
-          {40, FieldComparatorKind::kJaroWinkler, 1.0},
-          {50, FieldComparatorKind::kJaroWinkler, 1.0}},
-      0.75);
+  const RecordSimilarity similarity({3, 0, 2, 5, 7, 1, 4, 40, 50}, 0.75);
   const Record query = MakeRecord(1, 1, base);
   std::vector<Record> candidates;
   for (int variant = 0; variant < 4; ++variant) {
@@ -84,6 +78,64 @@ TEST(SimilarityScorerTest, RecordAndViewScoresEqualTheReferenceBitForBit) {
     ASSERT_TRUE(view.ok());
     EXPECT_EQ(scorer.Similarity(*view, &scratch), expected) << candidate.id;
   }
+}
+
+// The definition, written out on the scalar reference: the Jaro-Winkler
+// similarity of each normalized match field, summed in field order and
+// divided by the field count.
+double MeanScalarJaroWinkler(const std::vector<int>& match_fields,
+                             const Record& a, const Record& b) {
+  double total = 0.0;
+  for (int field : match_fields) {
+    const size_t index = static_cast<size_t>(field);
+    const std::string va =
+        index < a.fields.size() ? text::NormalizeField(a.fields[index]) : "";
+    const std::string vb =
+        index < b.fields.size() ? text::NormalizeField(b.fields[index]) : "";
+    total += text::JaroWinkler(va, vb);
+  }
+  return total / static_cast<double>(match_fields.size());
+}
+
+TEST(RecordSimilarityTest, EqualsMeanOfScalarJaroWinklerBitForBit) {
+  // Each NCVR base record against two perturbed copies of itself and two
+  // unrelated records: 12k pairs spanning matches and non-matches.
+  constexpr size_t kBase = 3000;
+  const Dataset base =
+      datagen::GenerateBase(datagen::DatasetKind::kNcvr, kBase, 7, 0.8);
+  const std::vector<int> match_fields =
+      MatchFieldsFor(datagen::DatasetKind::kNcvr);
+  const RecordSimilarity similarity(match_fields, 0.75);
+  datagen::Perturbator perturbator(11);
+  SimilarityScorer scorer;
+  std::string encoded;
+  std::string scratch;
+  size_t matches = 0;
+  for (size_t i = 0; i < kBase; ++i) {
+    const Record& query = base.records()[i];
+    const Record candidates[] = {
+        perturbator.PerturbRecord(query, kBase + 2 * i),
+        perturbator.PerturbRecord(query, kBase + 2 * i + 1),
+        base.records()[(i + 1) % kBase],
+        base.records()[(i * 7 + kBase / 2) % kBase]};
+    scorer.Bind(similarity, query);
+    for (const Record& candidate : candidates) {
+      const double expected =
+          MeanScalarJaroWinkler(match_fields, query, candidate);
+      ASSERT_EQ(similarity.Similarity(query, candidate), expected)
+          << query.id << " vs " << candidate.id;
+      ASSERT_EQ(scorer.Similarity(candidate), expected) << candidate.id;
+      encoded.clear();
+      candidate.EncodeTo(&encoded);
+      auto view = RecordView::FromEncoded(encoded);
+      ASSERT_TRUE(view.ok());
+      ASSERT_EQ(scorer.Similarity(*view, &scratch), expected) << candidate.id;
+      if (expected >= similarity.threshold()) ++matches;
+    }
+  }
+  // Both sides of theta' are exercised.
+  EXPECT_GT(matches, kBase);
+  EXPECT_LT(matches, 4 * kBase);
 }
 
 TEST(RecordViewTest, SliceFieldsMatchesFieldAccess) {

@@ -87,13 +87,6 @@ TEST(DamerauOsaTest, NeverExceedsLevenshtein) {
   }
 }
 
-TEST(LevenshteinSimilarityTest, Range) {
-  EXPECT_DOUBLE_EQ(LevenshteinSimilarity("", ""), 1.0);
-  EXPECT_DOUBLE_EQ(LevenshteinSimilarity("abc", "abc"), 1.0);
-  EXPECT_DOUBLE_EQ(LevenshteinSimilarity("abc", "xyz"), 0.0);
-  EXPECT_NEAR(LevenshteinSimilarity("abcd", "abcx"), 0.75, 1e-9);
-}
-
 // Triangle inequality is a metric property Levenshtein must satisfy; the
 // sub-block ring logic of BlockSketch leans on distances behaving sanely.
 class LevenshteinMetricProperty
