@@ -1,11 +1,13 @@
 // Microbenchmark of the bit-parallel similarity kernels (src/simd) against
 // their scalar references (src/text): one row per single-pair kernel, the
 // batched routing path (BatchQuery::Score) that BlockSketch/SBlockSketch use
-// to pick a sub-block, and the verification shape (one query field against a
-// paper-scale block).
+// to pick a sub-block, the verification shape (one query field against a
+// paper-scale block), one query verified against a paper-scale block of
+// stored record views, and the printing of its scores into a response.
 // Results land in BENCH_kernels.json so kernel regressions can be scripted;
 // the end-to-end effect on the match phase is bench_table4_query_latency.
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -13,7 +15,12 @@
 
 #include "bench_json.h"
 #include "bench_util.h"
+#include "blocking/presets.h"
 #include "common/random.h"
+#include "datagen/generators.h"
+#include "linkage/record_store.h"
+#include "linkage/similarity.h"
+#include "obs/json.h"
 #include "simd/bit_profile.h"
 #include "simd/jaro_pattern.h"
 #include "simd/kernels.h"
@@ -251,11 +258,124 @@ void BenchVerification(BenchJsonWriter* json, size_t block_size) {
   row.Add("speedup", scalar_ns / kernel_ns);
 }
 
+/// Verification end to end: one NCVR query scored against the views of a
+/// paper-scale block (171 records) that a RecordStore hands out. The
+/// generated records are normalized, so their views carry
+/// fields_normalized() and the scorer reads the stored bytes ("flag set").
+/// A second store holds the same records with one lower-case non-match
+/// field appended, which clears the flag: the scorer then normalizes each
+/// match field first, as it did for every candidate before the flag.
+/// Returns the scores, which BenchJsonScore prints.
+std::vector<double> BenchVerifyView(BenchJsonWriter* json, size_t block_size) {
+  const datagen::DatasetKind kind = datagen::DatasetKind::kNcvr;
+  const Dataset records =
+      datagen::GenerateBase(kind, block_size + 1, 0xf6, 0.8);
+  const Record& query = records[block_size];
+  RecordStore flag_set;
+  RecordStore flag_clear;
+  std::vector<RecordId> ids;
+  for (size_t i = 0; i < block_size; ++i) {
+    Record record = records[i];
+    ids.push_back(record.id);
+    (void)flag_set.Put(record);
+    record.fields.push_back("not normalized");
+    (void)flag_clear.Put(record);
+  }
+  const RecordSimilarity similarity(MatchFieldsFor(kind), 0.75);
+  const SimilarityScorer scorer(similarity, query);
+  std::string scratch;
+  std::vector<double> scores(block_size);
+  // Mean ns per candidate over `store`'s views; `flagged` counts the views
+  // that carry the flag.
+  const auto time_views = [&](const RecordStore& store, size_t* flagged) {
+    std::vector<RecordView> views;
+    if (!store.GetViews(ids, &views).ok()) {
+      std::fprintf(stderr, "verify_view: a stored record is missing\n");
+      std::exit(1);
+    }
+    *flagged = 0;
+    for (const RecordView& view : views) {
+      *flagged += view.fields_normalized() ? 1 : 0;
+    }
+    return TimeNsPerOp(block_size, [&] {
+      double sum = 0.0;
+      for (size_t i = 0; i < block_size; ++i) {
+        scores[i] = scorer.Similarity(views[i], &scratch);
+        sum += scores[i];
+      }
+      g_sink += sum;
+    });
+  };
+  size_t set_flagged = 0;
+  size_t clear_flagged = 0;
+  const double set_ns = time_views(flag_set, &set_flagged);
+  const double clear_ns = time_views(flag_clear, &clear_flagged);
+  char label[96];
+  std::snprintf(label, sizeof(label),
+                "verify_view n=%zu (%.2fx vs flag clear %.1f ns)", block_size,
+                clear_ns / set_ns, clear_ns);
+  PrintRow(label, set_ns, "ns/candidate");
+  JsonFields& row = json->AddResult();
+  row.Add("kernel", "verify_view");
+  row.Add("batch_size", static_cast<uint64_t>(block_size));
+  row.Add("flag_set_ns_per_op", set_ns);
+  row.Add("flag_clear_ns_per_op", clear_ns);
+  row.Add("flag_set_views", static_cast<uint64_t>(set_flagged));
+  row.Add("flag_clear_views",
+          static_cast<uint64_t>(block_size - clear_flagged));
+  row.Add("speedup", clear_ns / set_ns);
+  return scores;
+}
+
+/// Printing a response's scores: `scores` through obs::AppendJsonNumber
+/// (one shortest to_chars conversion per score) against the loop it
+/// replaced, which prints %.15g, %.16g and %.17g in turn until from_chars
+/// reads the value back.
+void BenchJsonScore(BenchJsonWriter* json, const std::vector<double>& scores) {
+  const size_t n = scores.size();
+  std::string out;
+  const double reference_ns = TimeNsPerOp(n, [&] {
+    out.clear();
+    char buf[32];
+    for (const double score : scores) {
+      char* end = buf;
+      for (int precision = 15; precision <= 17; ++precision) {
+        end = std::to_chars(buf, buf + sizeof(buf), score,
+                            std::chars_format::general, precision)
+                  .ptr;
+        double parsed = 0;
+        if (std::from_chars(buf, end, parsed).ec == std::errc() &&
+            parsed == score) {
+          break;
+        }
+      }
+      out.append(buf, end);
+    }
+    g_sink += static_cast<double>(out.size());
+  });
+  const double kernel_ns = TimeNsPerOp(n, [&] {
+    out.clear();
+    for (const double score : scores) obs::AppendJsonNumber(score, &out);
+    g_sink += static_cast<double>(out.size());
+  });
+  char label[96];
+  std::snprintf(label, sizeof(label), "json_score n=%zu (%.2fx)", n,
+                reference_ns / kernel_ns);
+  PrintRow(label, kernel_ns, "ns/score");
+  JsonFields& row = json->AddResult();
+  row.Add("kernel", "json_score");
+  row.Add("batch_size", static_cast<uint64_t>(n));
+  row.Add("kernel_ns_per_op", kernel_ns);
+  row.Add("scalar_ns_per_op", reference_ns);
+  row.Add("speedup", reference_ns / kernel_ns);
+}
+
 int Run() {
   Banner("micro_kernels",
          "Bit-parallel similarity kernels vs their scalar references, plus\n"
-         "the batched sub-block routing path and one query field verified\n"
-         "against a paper-scale block.");
+         "the batched sub-block routing path, one query field verified\n"
+         "against a paper-scale block, one query verified against a block of\n"
+         "stored record views, and the printing of its scores.");
 
   BenchJsonWriter json("kernels", /*threads=*/1);
   for (const size_t length : {8, 16, 32}) BenchJaro(&json, length);
@@ -263,6 +383,7 @@ int Run() {
   BenchDice(&json, /*length=*/16, /*q=*/2);
   for (const size_t batch_size : {8, 24, 64}) BenchBatch(&json, batch_size);
   BenchVerification(&json, /*block_size=*/171);
+  BenchJsonScore(&json, BenchVerifyView(&json, /*block_size=*/171));
   if (!json.Finish()) return 1;
   if (g_sink == 12345.6789) std::printf("sink %f\n", g_sink);
   return 0;

@@ -1,9 +1,40 @@
 #include "linkage/record_store.h"
 
+#include <algorithm>
+
 #include "common/coding.h"
 #include "common/memory_tracker.h"
+#include "text/normalize.h"
 
 namespace sketchlink {
+
+namespace {
+
+constexpr char kRawFields = 0;
+constexpr char kNormalizedFields = 1;
+
+// A record's arena entry: one flag byte, set when every field already
+// equals its text::NormalizeField form, then the Record::EncodeTo bytes
+// that the kv payload holds.
+std::string MakeEntry(const Record& record) {
+  const bool normalized =
+      std::all_of(record.fields.begin(), record.fields.end(),
+                  [](const std::string& field) {
+                    return text::IsNormalized(field);
+                  });
+  std::string entry(1, normalized ? kNormalizedFields : kRawFields);
+  record.EncodeTo(&entry);
+  return entry;
+}
+
+std::string_view Payload(std::string_view entry) { return entry.substr(1); }
+
+Result<RecordView> ViewOf(std::string_view entry) {
+  return RecordView::FromEncoded(Payload(entry),
+                                 entry[0] == kNormalizedFields);
+}
+
+}  // namespace
 
 std::string RecordStore::DbKey(RecordId id) const {
   std::string key = "rec\x01";
@@ -12,16 +43,15 @@ std::string RecordStore::DbKey(RecordId id) const {
 }
 
 Status RecordStore::Put(const Record& record) {
-  std::string encoded;
-  record.EncodeTo(&encoded);
+  const std::string entry = MakeEntry(record);
   if (db_ != nullptr) {
     // Write through outside the lock: kv::Db synchronizes internally, and
     // holding our exclusive lock across its WAL fsync would serialize every
     // concurrent reader behind disk latency.
-    SKETCHLINK_RETURN_IF_ERROR(db_->Put(DbKey(record.id), encoded));
+    SKETCHLINK_RETURN_IF_ERROR(db_->Put(DbKey(record.id), Payload(entry)));
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
-  index_[record.id] = arena_.CopyString(encoded);
+  index_[record.id] = arena_.CopyString(entry);
   return Status::OK();
 }
 
@@ -30,7 +60,7 @@ Result<Record> RecordStore::Get(RecordId id) const {
     std::shared_lock<std::shared_mutex> lock(mu_);
     auto it = index_.find(id);
     if (it != index_.end()) {
-      std::string_view input = it->second;
+      std::string_view input = Payload(it->second);
       return Record::DecodeFrom(&input);
     }
   }
@@ -47,17 +77,22 @@ Result<RecordView> RecordStore::GetView(RecordId id) const {
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     auto it = index_.find(id);
-    if (it != index_.end()) return RecordView::FromEncoded(it->second);
+    if (it != index_.end()) return ViewOf(it->second);
   }
   if (db_ != nullptr) {
     // Read-through: a view must outlive this call, so the payload fetched
-    // from the database is cached into the arena before wrapping it.
+    // from the database is cached into the arena before wrapping it. The
+    // entry is built as Put builds it, flag byte included.
     std::string encoded;
     SKETCHLINK_RETURN_IF_ERROR(db_->Get(DbKey(id), &encoded));
+    std::string_view input(encoded);
+    Result<Record> record = Record::DecodeFrom(&input);
+    if (!record.ok()) return record.status();
+    const std::string entry = MakeEntry(*record);
     std::unique_lock<std::shared_mutex> lock(mu_);
     auto [it, inserted] = index_.try_emplace(id);
-    if (inserted) it->second = arena_.CopyString(encoded);
-    return RecordView::FromEncoded(it->second);
+    if (inserted) it->second = arena_.CopyString(entry);
+    return ViewOf(it->second);
   }
   return Status::NotFound("record " + std::to_string(id));
 }
@@ -75,7 +110,7 @@ Status RecordStore::GetViews(std::span<const RecordId> ids,
         missed = true;
         continue;
       }
-      Result<RecordView> view = RecordView::FromEncoded(it->second);
+      Result<RecordView> view = ViewOf(it->second);
       if (!view.ok()) return view.status();
       (*views)[i] = *view;
     }

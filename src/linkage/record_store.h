@@ -26,6 +26,13 @@ namespace sketchlink {
 /// Puts. Storing Record objects in a container instead would either copy per
 /// Get or dangle views when the container rehashes/reallocates.
 ///
+/// Each arena entry leads with one flag byte: set when every field of the
+/// record already equals its text::NormalizeField form (text::IsNormalized,
+/// checked once at Put or at kv fault-in). The views the store hands out
+/// carry it as RecordView::fields_normalized(), and SimilarityScorer then
+/// scores the stored bytes without normalizing them. kv payloads are the
+/// Record::EncodeTo bytes alone.
+///
 /// Thread-safe: Put takes an exclusive lock, Get/GetView/size/memory take a
 /// shared one, so the serving plane can verify candidates on many query
 /// threads while inserts land concurrently. (kv::Db is internally
@@ -83,8 +90,9 @@ class RecordStore {
   // Encoded payloads; mutable so the GetView read-through fault-in can
   // cache under an exclusive lock from a const method.
   mutable Arena arena_;
-  // id -> encoded payload bytes inside arena_. In-memory mode: the
-  // authoritative map. KV mode: a cache faithful about writing through.
+  // id -> arena entry (flag byte + encoded payload) inside arena_.
+  // In-memory mode: the authoritative map. KV mode: a cache faithful about
+  // writing through.
   mutable std::unordered_map<RecordId, std::string_view> index_;
 };
 

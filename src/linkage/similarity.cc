@@ -47,20 +47,25 @@ void SimilarityScorer::Bind(const RecordSimilarity& similarity,
 }
 
 template <typename FieldAt>
-double SimilarityScorer::Score(const FieldAt& field_at,
+double SimilarityScorer::Score(const FieldAt& field_at, bool normalized,
                                std::string* scratch) const {
   // Mirrors RecordSimilarity::Similarity exactly (same accumulation order,
-  // same empty-field conventions); only the query side is memoized. Each
-  // candidate field is normalized into `scratch` (NormalizeFieldTo appends
-  // the bytes NormalizeField returns), and JaroWinklerQuery ==
-  // simd::JaroWinkler(query, candidate) bit for bit (Jaro is symmetric), so
-  // the doubles match bit for bit.
+  // same empty-field conventions); only the query side is memoized. Unless
+  // the candidate's fields are known to be normalized already, each is
+  // normalized into `scratch` (NormalizeFieldTo appends the bytes
+  // NormalizeField returns). JaroWinklerQuery == simd::JaroWinkler(query,
+  // candidate) bit for bit (Jaro is symmetric), so the doubles match bit
+  // for bit.
   if (fields_.empty()) return 0.0;
   double total = 0.0;
   for (const QueryField& field : fields_) {
-    scratch->clear();
-    text::NormalizeFieldTo(field_at(field.index), scratch);
-    total += field.indexed.Similarity(*scratch);
+    std::string_view value = field_at(field.index);
+    if (!normalized) {
+      scratch->clear();
+      text::NormalizeFieldTo(value, scratch);
+      value = *scratch;
+    }
+    total += field.indexed.Similarity(value);
   }
   return total / static_cast<double>(fields_.size());
 }
@@ -73,7 +78,7 @@ double SimilarityScorer::Similarity(const Record& candidate) const {
                    ? std::string_view(candidate.fields[index])
                    : std::string_view();
       },
-      &scratch);
+      /*normalized=*/false, &scratch);
 }
 
 double SimilarityScorer::Similarity(const RecordView& candidate,
@@ -89,7 +94,7 @@ double SimilarityScorer::Similarity(const RecordView& candidate,
       [&](size_t index) {
         return index < sliced ? slices[index] : candidate.field(index);
       },
-      scratch);
+      candidate.fields_normalized(), scratch);
 }
 
 std::string RecordSimilarity::KeyValues(const Record& record) const {

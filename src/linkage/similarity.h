@@ -76,9 +76,11 @@ class SimilarityScorer {
   }
 
   /// Zero-copy variant: scores an encoded record in place (no Record
-  /// materialization), slicing its fields in one pass. `scratch` holds the
-  /// candidate-side normalized field between comparisons so a warm caller
-  /// never allocates; the doubles are identical to
+  /// materialization), slicing its fields in one pass. A view whose
+  /// fields_normalized() is set (RecordStore checked them at insert) is
+  /// scored on its stored bytes; otherwise `scratch` holds each
+  /// candidate-side normalized field between comparisons, so a warm caller
+  /// never allocates. Either way the doubles are identical to
   /// Similarity(candidate.ToRecord()).
   double Similarity(const RecordView& candidate, std::string* scratch) const;
 
@@ -94,9 +96,11 @@ class SimilarityScorer {
   };
 
   /// The mean over the match fields; `field_at(i)` is the candidate's raw
-  /// field i (empty when it has none).
+  /// field i (empty when it has none), already in NormalizeField form when
+  /// `normalized`.
   template <typename FieldAt>
-  double Score(const FieldAt& field_at, std::string* scratch) const;
+  double Score(const FieldAt& field_at, bool normalized,
+               std::string* scratch) const;
 
   std::vector<QueryField> fields_;
   size_t slice_count_ = 0;  // 1 + the highest match-field index

@@ -19,7 +19,9 @@ void AppendJsonString(std::string_view s, std::string* out);
 /// Appends `value` as a JSON number: an exact integer in [0, 2^53] without a
 /// decimal point, anything else as the shortest of %.15g, %.16g, %.17g that
 /// reads back as `value` (inf and nan print as printf prints them, which is
-/// not JSON; serve::Json::Parse rejects both).
+/// not JSON; serve::Json::Parse rejects both). That string is laid out from
+/// one shortest std::to_chars conversion; only subnormals, inf, nan and
+/// 16-digit powers of two run the precision loop itself.
 void AppendJsonNumber(double value, std::string* out);
 
 /// One flat JSON object built field by field (insertion order preserved).

@@ -44,7 +44,8 @@ size_t Record::ApproximateMemoryUsage() const {
   return bytes;
 }
 
-Result<RecordView> RecordView::FromEncoded(std::string_view payload) {
+Result<RecordView> RecordView::FromEncoded(std::string_view payload,
+                                           bool fields_normalized) {
   RecordView view;
   uint32_t num_fields;
   if (!GetVarint64(&payload, &view.id_) ||
@@ -61,6 +62,7 @@ Result<RecordView> RecordView::FromEncoded(std::string_view payload) {
     }
   }
   view.num_fields_ = num_fields;
+  view.fields_normalized_ = fields_normalized;
   view.fields_ = payload;
   return view;
 }

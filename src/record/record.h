@@ -49,12 +49,17 @@ class RecordView {
 
   /// Parses the header of a payload produced by Record::EncodeTo. The view
   /// references `payload`'s bytes; the caller guarantees their lifetime.
-  static Result<RecordView> FromEncoded(std::string_view payload);
+  /// `fields_normalized` promises that every field already equals its
+  /// text::NormalizeField form; RecordStore checks that once per record,
+  /// at insert, and verification then scores the fields as they are.
+  static Result<RecordView> FromEncoded(std::string_view payload,
+                                        bool fields_normalized = false);
 
   bool valid() const { return num_fields_ != kInvalid; }
   RecordId id() const { return id_; }
   uint64_t entity_id() const { return entity_id_; }
   size_t num_fields() const { return num_fields_; }
+  bool fields_normalized() const { return fields_normalized_; }
 
   /// The i-th field, sliced from the encoded bytes (no copy); empty past
   /// num_fields(). Fields are walked from the start of the field section,
@@ -74,6 +79,7 @@ class RecordView {
   RecordId id_ = 0;
   uint64_t entity_id_ = 0;
   uint32_t num_fields_ = kInvalid;
+  bool fields_normalized_ = false;
   std::string_view fields_;  // the length-prefixed field section
 };
 

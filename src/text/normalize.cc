@@ -91,6 +91,23 @@ void NormalizeFieldTo(std::string_view s, std::string* out) {
   }
 }
 
+bool IsNormalized(std::string_view s) {
+  // NormalizeFieldTo emits a byte unchanged only when the table keeps it as
+  // is, and a space only between two emitted bytes.
+  bool after_space = true;  // a leading space is not normalized
+  for (const char raw : s) {
+    if (raw == ' ') {
+      if (after_space) return false;
+      after_space = true;
+      continue;
+    }
+    const char folded = kFold[static_cast<unsigned char>(raw)];
+    if (folded != raw || folded == kDrop) return false;
+    after_space = false;
+  }
+  return s.empty() || !after_space;
+}
+
 std::string_view Prefix(std::string_view s, size_t n) {
   return s.substr(0, std::min(n, s.size()));
 }

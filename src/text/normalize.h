@@ -28,6 +28,12 @@ std::string NormalizeField(std::string_view s);
 /// Byte-for-byte identical to the returning form.
 void NormalizeFieldTo(std::string_view s, std::string* out);
 
+/// True when NormalizeField(s) == s: every byte is in [A-Z0-9 '-], and
+/// spaces stand alone between two other bytes. One pass, no allocation;
+/// RecordStore asks it of every field at insert so verification can score
+/// stored fields without normalizing them again.
+bool IsNormalized(std::string_view s);
+
 /// Returns the first `n` characters of `s` (the whole string if shorter).
 /// Blocking keys such as "surname[50%]" and "assay[6]" (paper Table 1) are
 /// built from prefixes.

@@ -69,6 +69,10 @@ inline void FuzzNormalize(const uint8_t* data, size_t size) {
                   "no edge spaces");
   internal::Check(text::NormalizeField(normalized) == normalized,
                   "NormalizeField is idempotent");
+  internal::Check(text::IsNormalized(input) == (normalized == input),
+                  "IsNormalized(s) == (NormalizeField(s) == s)");
+  internal::Check(text::IsNormalized(normalized),
+                  "IsNormalized(NormalizeField(s))");
 
   // Prefix helpers must stay in bounds for any (s, n) / (s, fraction).
   if (size > 0) {

@@ -313,6 +313,107 @@ TEST(RecordStoreTest, KvBackedWritesThrough) {
   (void)kv::RemoveDirRecursively(dir);
 }
 
+// Records whose fields normalization changes (lower case, runs of spaces
+// and tabs, leading or trailing blanks, punctuation, a non-match field
+// alone) and records it leaves alone. Both kinds carry empty and missing
+// match fields, and each record comes again widened to 41 fields, so match
+// field 40 is read past the scorer's 32-slice buffer.
+std::vector<Record> MixedNormalizationRecords() {
+  const std::vector<std::vector<std::string>> changed = {
+      {"johnson", "MARY", "12 MAIN ST"},
+      {"JOHNSON", "MARY \t ANN", "12  MAIN ST"},
+      {"  JOHNSON", "MARY ", "12 MAIN ST\t"},
+      {"O'BRIEN, JR.", "MARY-ANN", "12 MAIN ST."},
+      {"JOHNSON", "MARY", "12 MAIN ST", "raleigh"},
+      {"", "mary"},
+  };
+  const std::vector<std::vector<std::string>> unchanged = {
+      {"JOHNSON", "MARY", "12 MAIN ST"},
+      {"JONSON", "MARY ANN", "12 MAIN STREET"},
+      {"O'BRIEN JR", "MARY-ANN", "21 MAIN ST", "RALEIGH"},
+      {"", "MARY"},
+      {},
+  };
+  std::vector<Record> records;
+  RecordId id = 1;
+  for (const auto* kind : {&changed, &unchanged}) {
+    for (const std::vector<std::string>& fields : *kind) {
+      records.push_back(MakeRecord(id++, 1, fields));
+      std::vector<std::string> wide = fields;
+      wide.resize(41, "FILLER");
+      wide[40] = kind == &changed ? "far away" : "FAR AWAY";
+      records.push_back(MakeRecord(id++, 1, wide));
+    }
+  }
+  return records;
+}
+
+// Fetches `records` from `store` in one GetViews call, checks each view's
+// normalized flag, and scores every record against every view: the scorer
+// must equal RecordSimilarity on the raw records bit for bit.
+void ExpectStoredViewsScoreLikeRawRecords(const RecordStore& store,
+                                          const std::vector<Record>& records) {
+  const RecordSimilarity similarity({1, 0, 2, 40}, 0.75);
+  std::vector<RecordId> ids;
+  for (const Record& record : records) ids.push_back(record.id);
+  std::vector<RecordView> views;
+  ASSERT_TRUE(store.GetViews(ids, &views).ok());
+  size_t flagged = 0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    bool normalized = true;
+    for (const std::string& field : records[i].fields) {
+      normalized = normalized && text::NormalizeField(field) == field;
+    }
+    ASSERT_EQ(views[i].fields_normalized(), normalized) << records[i].id;
+    flagged += normalized ? 1 : 0;
+  }
+  // Both scoring paths run.
+  ASSERT_GT(flagged, 0u);
+  ASSERT_LT(flagged, records.size());
+  SimilarityScorer scorer;
+  std::string scratch;
+  for (const Record& query : records) {
+    scorer.Bind(similarity, query);
+    for (size_t i = 0; i < records.size(); ++i) {
+      ASSERT_EQ(scorer.Similarity(views[i], &scratch),
+                similarity.Similarity(query, records[i]))
+          << query.id << " vs " << records[i].id;
+    }
+  }
+}
+
+TEST(RecordStoreTest, ViewsScoreLikeRawRecordsWithTheFlagSetOrClear) {
+  const std::vector<Record> records = MixedNormalizationRecords();
+  {
+    RecordStore store;
+    for (const Record& record : records) ASSERT_TRUE(store.Put(record).ok());
+    ExpectStoredViewsScoreLikeRawRecords(store, records);
+  }
+  const std::string dir = ::testing::TempDir() + "/record_store_flag_kv";
+  ASSERT_TRUE(kv::RemoveDirRecursively(dir).ok());
+  auto db = kv::Db::Open(dir);
+  ASSERT_TRUE(db.ok());
+  {
+    RecordStore store(db->get());
+    for (const Record& record : records) ASSERT_TRUE(store.Put(record).ok());
+    ExpectStoredViewsScoreLikeRawRecords(store, records);
+  }
+  // A fresh store over the same Db starts empty, so GetViews faults every
+  // record in from kv and computes the flag there. The kv payload itself
+  // is the plain Record::EncodeTo bytes (Get decodes it without caching).
+  RecordStore fresh(db->get());
+  for (const Record& record : records) {
+    auto stored = fresh.Get(record.id);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    EXPECT_EQ(*stored, record);
+  }
+  ASSERT_EQ(fresh.size(), 0u);
+  ExpectStoredViewsScoreLikeRawRecords(fresh, records);
+  EXPECT_EQ(fresh.size(), records.size());
+  db->reset();
+  (void)kv::RemoveDirRecursively(dir);
+}
+
 TEST(GroundTruthTest, EntityLookupAndCounts) {
   Dataset dataset;
   dataset.Add(MakeRecord(1, 100, {}));

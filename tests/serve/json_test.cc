@@ -1,5 +1,6 @@
 #include "serve/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -120,11 +121,80 @@ TEST(JsonDumpTest, NumberPrintingMatchesSnprintfReference) {
       Limits::min(), Limits::denorm_min(), Limits::min() / 3,
       -Limits::denorm_min(), Limits::infinity(), -Limits::infinity(),
       Limits::quiet_NaN(), -Limits::quiet_NaN()};
+  // Every power of two and both its neighbours, either sign: %.16g at a
+  // power of two need not read back, the formatter's one special case.
   for (int exp = -1074; exp <= 1023; ++exp) {
-    values.push_back(std::ldexp(1.0, exp));
-    values.push_back(-std::ldexp(1.0, exp));
+    const double power = std::ldexp(1.0, exp);
+    for (const double value : {power, std::nextafter(power, 0.0),
+                               std::nextafter(power, Limits::infinity())}) {
+      values.push_back(value);
+      values.push_back(-value);
+    }
   }
   Rng rng(0xd0b1e);
+  // Shortest forms of exactly 15, 16 and 17 digits. A 15-digit decimal
+  // parses to a double whose shortest form has at most 15 digits; random
+  // mantissas mostly need 16 or 17.
+  const auto shortest_digits = [](double value) {
+    char buf[32];
+    const char* end = std::to_chars(buf, buf + sizeof(buf), value,
+                                    std::chars_format::scientific)
+                          .ptr;
+    int digits = 0;
+    for (const char* p = buf; p < end && *p != 'e'; ++p) {
+      digits += *p >= '0' && *p <= '9' ? 1 : 0;
+    }
+    return digits;
+  };
+  size_t by_digits[18] = {};
+  while (by_digits[15] < 20'000 || by_digits[16] < 20'000 ||
+         by_digits[17] < 20'000) {
+    char text[48];
+    std::snprintf(text, sizeof(text), "%llue%d",
+                  static_cast<unsigned long long>(
+                      100'000'000'000'000ull +
+                      rng.UniformUint64(900'000'000'000'000ull)),
+                  static_cast<int>(rng.UniformIndex(60)) - 44);
+    for (const double value :
+         {std::strtod(text, nullptr),
+          std::ldexp(1.0 + rng.NextDouble(),
+                     static_cast<int>(rng.UniformIndex(200)) - 100)}) {
+      const int digits = shortest_digits(value);
+      if (digits < 15 || by_digits[digits] >= 20'000) continue;
+      ++by_digits[digits];
+      values.push_back(rng.CoinFlip() ? value : -value);
+    }
+  }
+  // Negative integers (the integer path takes only non-negative ones), up
+  // to 17 digits.
+  values.push_back(-1e6);
+  values.push_back(-155992972677320.0);
+  for (int digits = 1; digits <= 17; ++digits) {
+    uint64_t low = 1;
+    for (int i = 1; i < digits; ++i) low *= 10;
+    for (int i = 0; i < 1000; ++i) {
+      values.push_back(-static_cast<double>(
+          low + rng.UniformUint64(digits == 1 ? 9 : 9 * low)));
+    }
+  }
+  // Decimal exponents either side of the switches between fixed and
+  // exponent notation: X < -4, and X >= 15, 16 or 17 by digit count.
+  for (const int exponent : {-5, -4, 14, 15, 16, 17}) {
+    for (const char* mantissa :
+         {"1", "1.5", "9.5", "1.23456789012345", "9.99999999999999",
+          "1.234567890123456", "9.999999999999999", "1.2345678901234567",
+          "9.9999999999999999"}) {
+      char text[48];
+      std::snprintf(text, sizeof(text), "%se%d", mantissa, exponent);
+      values.push_back(std::strtod(text, nullptr));
+      values.push_back(-std::strtod(text, nullptr));
+    }
+    for (int i = 0; i < 2000; ++i) {
+      const double value =
+          (1.0 + 9.0 * rng.NextDouble()) * std::pow(10.0, exponent);
+      values.push_back(rng.CoinFlip() ? value : -value);
+    }
+  }
   for (int i = 0; i < 600'000; ++i) {
     values.push_back(FromBits(rng.NextUint64()));  // every class, NaNs too
   }

@@ -13,6 +13,7 @@
 #include "linkage/engine.h"
 #include "linkage/sketch_matchers.h"
 #include "serve/json.h"
+#include "text/normalize.h"
 
 namespace sketchlink::serve {
 namespace {
@@ -397,6 +398,83 @@ TEST_F(LinkageServiceTest, QueriesMatchTheEngineOnTheSameInserts) {
     }
   }
   EXPECT_GT(queries_with_matches, workload.q.size() / 2);
+}
+
+TEST_F(LinkageServiceTest,
+       ServedScoresEqualTheReferenceOnRawAndNormalizedInserts) {
+  // One block (given name MARY, surname prefix SMI) holding inserts that
+  // normalization changes beside inserts it leaves alone, so the stored
+  // views are scored both as they are and after normalizing. With
+  // lambda 1 the block is one sub-block: every insert is a candidate.
+  const std::vector<std::vector<std::string>> fields = {
+      {"MARY", "SMITH", "12 MAIN ST", "RALEIGH"},
+      {"mary", "smith", "12 main st", "raleigh"},
+      {" MARY", "SMITH ", "12  MAIN\tST", "RALEIGH"},
+      {"MARY", "SMITHE", "12 MAIN ST.", "RALEIGH, NC"},
+      {"MARY", "SMITS", "", "DURHAM"},
+      {"MARY", "SMIDT", "21 ELM ST", "CARY"},
+      {"Mary", "Smith", "12 Main St", "Raleigh"},
+      {"MARY", "SMITH", "12 MAIN ST", "RALEIGH", "extra, lower"},
+  };
+  constexpr double kThreshold = 0.5;
+  ASSERT_EQ(Create("mixed", R"({"lambda":1,"threshold":0.5})").status, 201);
+  std::vector<Record> inserts;
+  Json list = Json::Array();
+  for (size_t i = 0; i < fields.size(); ++i) {
+    Record record;
+    record.id = 100 + i;
+    record.entity_id = 1;
+    record.fields = fields[i];
+    list.Append(RecordToJson(record, /*with_ids=*/true));
+    inserts.push_back(std::move(record));
+  }
+  Json body = Json::Object();
+  body.Set("records", std::move(list));
+  ASSERT_EQ(service_->InsertRecords(MakeRequest("mixed", body.Dump())).status,
+            200);
+
+  const RecordSimilarity similarity(
+      MatchFieldsFor(datagen::DatasetKind::kNcvr), kThreshold);
+  size_t served_by_kind[2] = {0, 0};  // matches from raw / normalized inserts
+  for (const Record& query : inserts) {
+    Json request = Json::Object();
+    request.Set("record", RecordToJson(query, /*with_ids=*/false));
+    const obs::HttpResponse response =
+        service_->Query(MakeRequest("mixed", request.Dump()));
+    ASSERT_EQ(response.status, 200) << response.body;
+    const Json served = Json::Parse(response.body).value();
+    ASSERT_EQ(served.GetUint("num_candidates", 0), inserts.size());
+
+    // The reference: every insert scored on its raw fields, kept at or
+    // above the threshold, best first and equal scores by ascending id.
+    std::vector<std::pair<double, RecordId>> expected;
+    for (const Record& record : inserts) {
+      const double score = similarity.Similarity(query, record);
+      if (score >= kThreshold) expected.emplace_back(score, record.id);
+    }
+    std::sort(expected.begin(), expected.end(),
+              [](const auto& a, const auto& b) {
+                return a.first > b.first ||
+                       (a.first == b.first && a.second < b.second);
+              });
+    std::vector<std::pair<double, RecordId>> got;
+    for (const Json& match : served.Find("matches")->array_items()) {
+      got.emplace_back(match.GetNumber("score", -1), match.GetUint("id", 0));
+    }
+    ASSERT_EQ(got, expected) << response.body;
+    for (const auto& [score, id] : got) {
+      const Record& record = inserts[id - 100];
+      const bool normalized =
+          std::all_of(record.fields.begin(), record.fields.end(),
+                      [](const std::string& field) {
+                        return text::NormalizeField(field) == field;
+                      });
+      ++served_by_kind[normalized ? 1 : 0];
+    }
+  }
+  // Matches came from raw and from normalized inserts.
+  EXPECT_GT(served_by_kind[0], 0u);
+  EXPECT_GT(served_by_kind[1], 0u);
 }
 
 TEST_F(LinkageServiceTest, IndexesAreIsolated) {

@@ -104,7 +104,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "CAMPBELL", "MITCHELL", "CZERNY", "SCHMIDT",
                       "WICZ", "CAESAR", "CHIANTI", "MICHAEL", "GHISLANE",
                       "HUGH", "LAUGH", "MCLAUGHLIN", "EDGE", "EDGAR",
-                      "JOSE", "CABRILLO", "DUMB", "CAMPBELL", "RASPBERRY",
+                      "JOSE", "CABRILLO", "DUMB", "RASPBERRY",
                       "SUGAR", "ISLAND", "SCHOOL", "SCHERMERHORN",
                       "TION", "THAMES", "ZHAO", "BREAUX", "ARNOW",
                       "FILIPOWICZ"));

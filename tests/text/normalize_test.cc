@@ -102,6 +102,48 @@ TEST(NormalizeFieldTest, MatchesLocaleReferenceOnRandomStrings) {
   }
 }
 
+TEST(IsNormalizedTest, AgreesWithNormalizeFieldOnEveryShortString) {
+  // Every string of length <= 5 over one byte of each class the table
+  // tells apart: kept upper case, folded lower case, digit, the two kept
+  // punctuation marks, a dropped one, space, other whitespace and a byte
+  // >= 0x80 (9^0 + ... + 9^5 = 66430 strings).
+  static constexpr char kAlphabet[] = {'A', 'a', '0',  '\'',  '-',
+                                       '.', ' ', '\t', '\x80'};
+  constexpr size_t kSize = sizeof(kAlphabet);
+  size_t normalized = 0;
+  for (size_t length = 0; length <= 5; ++length) {
+    size_t combinations = 1;
+    for (size_t i = 0; i < length; ++i) combinations *= kSize;
+    std::string s(length, '\0');
+    for (size_t code = 0; code < combinations; ++code) {
+      size_t rest = code;
+      for (char& c : s) {
+        c = kAlphabet[rest % kSize];
+        rest /= kSize;
+      }
+      const bool expected = NormalizeField(s) == s;
+      ASSERT_EQ(IsNormalized(s), expected) << '"' << s << '"';
+      normalized += expected ? 1 : 0;
+    }
+  }
+  // Both answers are exercised: the normalized strings are those over
+  // {A, 0, ', -} with single inner spaces.
+  EXPECT_GT(normalized, 1000u);
+  EXPECT_LT(normalized, 66430u / 2);
+}
+
+TEST(IsNormalizedTest, RejectsWhatNormalizationChanges) {
+  EXPECT_TRUE(IsNormalized(""));
+  EXPECT_TRUE(IsNormalized("O'BRIEN-SMITH 27601"));
+  EXPECT_FALSE(IsNormalized("Smith"));
+  EXPECT_FALSE(IsNormalized(" SMITH"));
+  EXPECT_FALSE(IsNormalized("SMITH "));
+  EXPECT_FALSE(IsNormalized("MARY  ANN"));
+  EXPECT_FALSE(IsNormalized("MARY\tANN"));
+  EXPECT_FALSE(IsNormalized("ST."));
+  EXPECT_FALSE(IsNormalized(std::string_view("A\0B", 3)));
+}
+
 TEST(PrefixTest, ClampsToLength) {
   EXPECT_EQ(Prefix("JOHNSON", 3), "JOH");
   EXPECT_EQ(Prefix("AB", 10), "AB");
