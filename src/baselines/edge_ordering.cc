@@ -41,17 +41,16 @@ Status EdgeOrderingMatcher::Insert(const Record& record,
   return Status::OK();
 }
 
-Result<std::vector<RecordId>> EdgeOrderingMatcher::Resolve(
-    const Record& query, const std::vector<std::string>& keys,
-    const std::string& key_values) {
-  (void)key_values;
+Status EdgeOrderingMatcher::ResolveInto(const Record& query,
+                                        const KeyScratch& keys,
+                                        QueryScratch* scratch) {
   oracle_->RegisterRecord(query);
 
   // Gather the query's target-block members, deduplicated across redundant
   // keys (LSH emits several).
   std::unordered_set<RecordId> candidates;
-  for (const std::string& key : keys) {
-    auto it = blocks_.find(key);
+  for (size_t i = 0; i < keys.num_keys; ++i) {
+    auto it = blocks_.find(keys.keys[i]);
     if (it == blocks_.end()) continue;
     candidates.insert(it->second.begin(), it->second.end());
   }
@@ -106,10 +105,11 @@ Result<std::vector<RecordId>> EdgeOrderingMatcher::Resolve(
   // compared in the target block: the paper attributes EO's depressed
   // precision precisely to these comparisons ("these comparisons, however,
   // considerably reduce the precision rates", Sec. 7.2).
-  std::vector<RecordId> formulated;
+  std::vector<RecordId>& formulated = scratch->matches;
+  formulated.clear();
   formulated.reserve(edges.size());
   for (const Edge& edge : edges) formulated.push_back(edge.id);
-  return formulated;
+  return Status::OK();
 }
 
 size_t EdgeOrderingMatcher::ApproximateMemoryUsage() const {

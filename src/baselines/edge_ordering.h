@@ -74,9 +74,8 @@ class EdgeOrderingMatcher : public OnlineMatcher {
   /// floor to the oracle (skipping edges already implied by transitivity).
   /// The reported result set is the submitted edges — the pairs EO selects
   /// to maximize recall.
-  Result<std::vector<RecordId>> Resolve(
-      const Record& query, const std::vector<std::string>& keys,
-      const std::string& key_values) override;
+  Status ResolveInto(const Record& query, const KeyScratch& keys,
+                     QueryScratch* scratch) override;
 
   uint64_t comparisons() const override { return comparisons_; }
   /// Oracle invocations so far (EO's budgeted resource).

@@ -62,11 +62,10 @@ Status InvIndexMatcher::Insert(const Record& record,
   return Status::OK();
 }
 
-Result<std::vector<RecordId>> InvIndexMatcher::Resolve(
-    const Record& query, const std::vector<std::string>& keys,
-    const std::string& key_values) {
+Status InvIndexMatcher::ResolveInto(const Record& query,
+                                    const KeyScratch& keys,
+                                    QueryScratch* scratch) {
   (void)keys;
-  (void)key_values;
   const std::vector<std::string> query_values = FieldValues(query);
 
   // hits[id] counts how many query fields found a phonetically reachable
@@ -118,12 +117,13 @@ Result<std::vector<RecordId>> InvIndexMatcher::Resolve(
   // wrong-field) value evidence — phonetic grouping of non-matching values
   // therefore leaks false positives, and a single DM-broken field loses the
   // pair, the two weaknesses Sec. 7 attributes to INV.
-  std::vector<RecordId> matches;
+  std::vector<RecordId>& matches = scratch->matches;
+  matches.clear();
   for (const auto& [id, count] : hits) {
     if (count == query_values.size()) matches.push_back(id);
   }
   std::sort(matches.begin(), matches.end());
-  return matches;
+  return Status::OK();
 }
 
 size_t InvIndexMatcher::ApproximateMemoryUsage() const {

@@ -42,9 +42,8 @@ class InvIndexMatcher : public OnlineMatcher {
   Status Insert(const Record& record, const std::vector<std::string>& keys,
                 const std::string& key_values) override;
 
-  Result<std::vector<RecordId>> Resolve(
-      const Record& query, const std::vector<std::string>& keys,
-      const std::string& key_values) override;
+  Status ResolveInto(const Record& query, const KeyScratch& keys,
+                     QueryScratch* scratch) override;
 
   uint64_t comparisons() const override {
     return build_comparisons_ + query_comparisons_;

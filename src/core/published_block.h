@@ -1,7 +1,7 @@
 #ifndef SKETCHLINK_CORE_PUBLISHED_BLOCK_H_
 #define SKETCHLINK_CORE_PUBLISHED_BLOCK_H_
 
-// The concurrent block representation behind BlockSketch / SBlockSketch.
+// The concurrent block representation behind the sketch (core/block_sketch.h).
 //
 // A PublishedBlock is built (or decoded) by a writer, published into an
 // epoch-protected table, and from then on read lock-free:
@@ -145,10 +145,12 @@ class PublishedBlock {
   /// epoch-retires the replaced one. Takes ownership of `fresh`.
   void PublishReps(size_t i, const RepSet* fresh);
 
-  // --- SBlockSketch bookkeeping ---
-  // xi / last_access are bumped by lock-free readers (relaxed; they only
-  // feed eviction scoring). The plain fields are written at admission under
-  // the sketch's write lock and never read outside it.
+  // --- Residency bookkeeping (bounded sketch only) ---
+  // The residency rule's eviction scoring reads these; an unbounded sketch
+  // never touches them. xi / last_access are bumped by lock-free readers
+  // (relaxed; they only feed eviction scoring). The plain fields are
+  // written at admission under the sketch's write lock and never read
+  // outside it.
   std::atomic<uint64_t> xi{0};
   std::atomic<uint64_t> last_access{0};
   uint64_t admit_evictions = 0;  // global eviction count at admission

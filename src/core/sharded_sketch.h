@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/maintenance_queue.h"
@@ -35,131 +36,97 @@ struct SketchInsert {
 /// sequence (and therefore makes the same coin-flip decisions) whether the
 /// batch runs on 1 thread or 16. Results are bit-identical for any pool
 /// size; only wall-clock changes.
-class ShardedBlockSketch {
+///
+/// Bounded: the memory budget mu is split exactly across stripes (each
+/// stripe evicts independently once its share is full; see StripeMuBudget);
+/// all stripes share the caller's spill store, which must itself be
+/// thread-safe (kv::Db is). Keys never cross stripes, so spilled blocks
+/// cannot collide. The wrapper owns one maintenance thread shared by all
+/// stripes: eviction encode+spill runs there, off every caller's path.
+template <Residency kResidency>
+class ShardedSketch {
  public:
+  using Stripe = Sketch<kResidency>;
+  static constexpr bool kBounded = Stripe::kBounded;
+  using Options = typename Stripe::Options;
+  using InsertStatus = typename Stripe::InsertStatus;
   static constexpr size_t kDefaultStripes = 16;
 
   /// An empty `distance` (the default) selects the built-in metric of
   /// options.distance_kind and enables the batched kernel routing path in
   /// every stripe; passing a function pins the legacy scalar loop.
-  explicit ShardedBlockSketch(const BlockSketchOptions& options = {},
-                              KeyDistanceFn distance = {},
-                              size_t num_stripes = kDefaultStripes);
+  explicit ShardedSketch(const BlockSketchOptions& options = {},
+                         KeyDistanceFn distance = {},
+                         size_t num_stripes = kDefaultStripes)
+    requires(!kBounded);
+  ShardedSketch(const SBlockSketchOptions& options, kv::Db* spill_db,
+                KeyDistanceFn distance = {},
+                size_t num_stripes = kDefaultStripes) requires(kBounded);
 
-  ShardedBlockSketch(const ShardedBlockSketch&) = delete;
-  ShardedBlockSketch& operator=(const ShardedBlockSketch&) = delete;
+  ShardedSketch(const ShardedSketch&) = delete;
+  ShardedSketch& operator=(const ShardedSketch&) = delete;
 
   /// Single insert; serialized within the key's stripe. Safe to call
   /// concurrently, but concurrent single inserts make the per-stripe order
   /// scheduling-dependent — use InsertBatch for reproducible parallel
   /// builds.
-  void Insert(std::string_view block_key, std::string_view key_values,
-              RecordId id);
+  InsertStatus Insert(std::string_view block_key, std::string_view key_values,
+                      RecordId id);
 
   /// Deterministic parallel build: buckets `entries` per stripe in order,
   /// then runs one task per stripe on `pool` (sequentially when pool is
-  /// null).
-  void InsertBatch(const std::vector<SketchInsert>& entries, ThreadPool* pool);
+  /// null). Bounded: returns the first per-stripe error in stripe order
+  /// (all stripes still run to completion).
+  InsertStatus InsertBatch(const std::vector<SketchInsert>& entries,
+                           ThreadPool* pool);
 
   /// Lock-free candidate lookup (never waits on writers of any stripe).
   CandidateList Candidates(std::string_view block_key,
-                           std::string_view key_values) const;
+                           std::string_view key_values) const
+    requires(!kBounded) {
+    return stripes_[StripeOf(block_key)]->Candidates(block_key, key_values);
+  }
 
-  size_t num_blocks() const;
+  /// Lock-free when the block is live in its stripe; a miss may fault the
+  /// block in from the spill store and evict another within that stripe
+  /// only.
+  Result<CandidateList> Candidates(std::string_view block_key,
+                                   std::string_view key_values)
+    requires(kBounded) {
+    return stripes_[StripeOf(block_key)]->Candidates(block_key, key_values);
+  }
+
+  size_t num_live_blocks() const;
+  size_t num_blocks() const requires(!kBounded) { return num_live_blocks(); }
   size_t num_stripes() const { return stripes_.size(); }
+
+  /// Blocks until no background spill is in flight in any stripe, then
+  /// returns the first sticky failure in stripe order (OK when clean).
+  Status WaitForMaintenance() requires(kBounded);
 
   /// Aggregated counters across stripes (by value: a consistent-enough
   /// snapshot for statistics, not a linearizable cut). Produced by merging
   /// the per-stripe instruments — see MergeMetricsInto.
-  BlockSketchStats stats() const;
+  SketchStats stats() const;
 
   /// Merges every stripe's live instruments into `*out`: counters add,
   /// histograms merge bucket-wise (an exact re-bucketing of the union of
   /// samples — percentiles are extracted from the merged buckets, never
   /// averaged across shards). Reads are relaxed-atomic; no locks.
-  void MergeMetricsInto(BlockSketchMetrics* out) const;
+  void MergeMetricsInto(SketchMetrics* out) const;
 
   /// Arms per-operation latency timing in every stripe.
   void EnableLatencyTiming();
 
   /// Registers the merged instruments (plus block-count and memory gauges)
-  /// under `instance` and enables latency timing when `registry` is
-  /// enabled. The returned handles must be dropped before this sketch; they
-  /// hold closures reading it.
+  /// under `instance` and kind "block" (unbounded) or "sblock" (bounded;
+  /// only it exports the residency families), and enables latency timing
+  /// when `registry` is enabled. The returned handles must be dropped
+  /// before this sketch; they hold closures reading it.
   std::vector<obs::Registration> RegisterMetrics(obs::Registry* registry,
                                                  const std::string& instance);
 
-  const BlockSketchOptions& options() const { return options_; }
-
-  size_t ApproximateMemoryUsage() const;
-
- private:
-  size_t StripeOf(std::string_view block_key) const;
-
-  BlockSketchOptions options_;
-  std::vector<std::unique_ptr<BlockSketch>> stripes_;
-};
-
-/// Striped wrapper for SBlockSketch with the same contract as
-/// ShardedBlockSketch. The memory budget mu is split exactly across stripes
-/// (each stripe evicts independently once its share is full; see
-/// StripeMuBudget); all stripes share the caller's spill store, which must
-/// itself be thread-safe (kv::Db is). Keys never cross stripes, so spilled
-/// blocks cannot collide. This wrapper owns one maintenance thread shared by
-/// all stripes: eviction encode+spill runs there, off every caller's path.
-class ShardedSBlockSketch {
- public:
-  static constexpr size_t kDefaultStripes = 16;
-
-  /// An empty `distance` (the default) enables the batched kernel routing
-  /// path (see ShardedBlockSketch).
-  explicit ShardedSBlockSketch(const SBlockSketchOptions& options,
-                               kv::Db* spill_db,
-                               KeyDistanceFn distance = {},
-                               size_t num_stripes = kDefaultStripes);
-
-  ShardedSBlockSketch(const ShardedSBlockSketch&) = delete;
-  ShardedSBlockSketch& operator=(const ShardedSBlockSketch&) = delete;
-
-  Status Insert(std::string_view block_key, std::string_view key_values,
-                RecordId id);
-
-  /// Deterministic parallel build; returns the first per-stripe error in
-  /// stripe order (all stripes still run to completion).
-  Status InsertBatch(const std::vector<SketchInsert>& entries,
-                     ThreadPool* pool);
-
-  /// Candidate lookup. Lock-free when the block is live in its stripe; a
-  /// miss may fault the block in from the spill store and evict another
-  /// within that stripe only.
-  Result<CandidateList> Candidates(std::string_view block_key,
-                                   std::string_view key_values);
-
-  size_t num_live_blocks() const;
-  size_t num_stripes() const { return stripes_.size(); }
-
-  /// Blocks until no background spill is in flight in any stripe, then
-  /// returns the first sticky failure in stripe order (OK when clean).
-  Status WaitForMaintenance();
-
-  /// Aggregated counters across stripes, via instrument merge (see
-  /// ShardedBlockSketch::stats).
-  SBlockSketchStats stats() const;
-
-  /// Merges every stripe's live instruments into `*out` (same contract as
-  /// ShardedBlockSketch::MergeMetricsInto).
-  void MergeMetricsInto(SBlockSketchMetrics* out) const;
-
-  /// Arms per-operation latency timing in every stripe.
-  void EnableLatencyTiming();
-
-  /// Registers the merged instruments (plus live-block and memory gauges)
-  /// under `instance` and enables latency timing when `registry` is
-  /// enabled. The returned handles must be dropped before this sketch.
-  std::vector<obs::Registration> RegisterMetrics(obs::Registry* registry,
-                                                 const std::string& instance);
-
-  const SBlockSketchOptions& options() const { return options_; }
+  const Options& options() const { return options_; }
 
   size_t ApproximateMemoryUsage() const;
 
@@ -169,17 +136,27 @@ class ShardedSBlockSketch {
   /// num_stripes some stripes get the floor of 1 live block — the aggregate
   /// may then exceed mu, which is unavoidable with independent stripes and
   /// documented rather than hidden.
-  static size_t StripeMuBudget(size_t mu, size_t num_stripes, size_t stripe);
+  static size_t StripeMuBudget(size_t mu, size_t num_stripes, size_t stripe)
+    requires(kBounded);
 
  private:
+  struct NoMaintenance {};
+
   size_t StripeOf(std::string_view block_key) const;
 
-  SBlockSketchOptions options_;
+  Options options_;
   /// Declared before stripes_ so it outlives them: stripe destructors wait
   /// out their in-flight spill jobs, which run on this thread.
-  MaintenanceQueue maintenance_;
-  std::vector<std::unique_ptr<SBlockSketch>> stripes_;
+  [[no_unique_address]] std::conditional_t<kBounded, MaintenanceQueue,
+                                           NoMaintenance> maintenance_;
+  std::vector<std::unique_ptr<Stripe>> stripes_;
 };
+
+extern template class ShardedSketch<Residency::kUnbounded>;
+extern template class ShardedSketch<Residency::kBounded>;
+
+using ShardedBlockSketch = ShardedSketch<Residency::kUnbounded>;
+using ShardedSBlockSketch = ShardedSketch<Residency::kBounded>;
 
 }  // namespace sketchlink
 

@@ -46,7 +46,8 @@ enum class KeyDistanceKind {
   kLevenshtein,
 };
 
-/// Tuning parameters shared by BlockSketch and SBlockSketch.
+/// Tuning parameters of the sketch's routing and reservoirs, shared by the
+/// unbounded (BlockSketch) and the bounded (SBlockSketch) sketch.
 struct BlockSketchOptions {
   /// Number of sub-blocks (distance rings <=theta, <=2*theta, ...).
   size_t lambda = 3;
@@ -64,6 +65,24 @@ struct BlockSketchOptions {
 
   /// Representatives per sub-block (Lemma 5.1, ceiling applied).
   size_t rho() const;
+};
+
+/// Block replacement policies for the ablation study. The paper's policy is
+/// kEvictionStatus: es = e^(w*xi - alpha); kLru / kFifo are the classic
+/// baselines it is compared against in bench_ablation_eviction.
+enum class EvictionPolicy { kEvictionStatus, kLru, kFifo };
+
+/// Tuning parameters of the bounded sketch (SBlockSketch): the sketch's own
+/// plus its residency rule.
+struct SBlockSketchOptions {
+  BlockSketchOptions sketch;
+  /// Maximum number of live (in-memory) blocks — the paper's mu, a function
+  /// of available main memory.
+  size_t mu = 10000;
+  /// Weight w of a block's successes xi in its eviction status (Fig. 5 uses
+  /// w = 1.5).
+  double w = 1.5;
+  EvictionPolicy policy = EvictionPolicy::kEvictionStatus;
 };
 
 /// One representative reservoir: up to rho representative key-value strings
@@ -138,8 +157,10 @@ struct SketchBlock {
   size_t TotalMembers() const;
   size_t ApproximateMemoryUsage() const;
 
-  /// Binary serialization, used when SBlockSketch spills a block to the
-  /// key/value store.
+  /// Binary serialization, used when the bounded sketch spills a block to
+  /// the key/value store. DecodeFrom fails with Corruption on truncated
+  /// input and on any count larger than the bytes left, so a bad record can
+  /// neither over-read nor make it reserve unbounded memory.
   void EncodeTo(std::string* dst) const;
   static Result<SketchBlock> DecodeFrom(std::string_view* input);
 };

@@ -90,7 +90,7 @@ struct PreparedRecord {
 /// evaluation (BlockSketch, SBlockSketch, the naive full-block scan, and
 /// the INV / EO baselines). The engine feeds data-set records through
 /// Insert() during the blocking phase and resolves query records through
-/// Resolve() during the matching phase.
+/// ResolveInto() during the matching phase.
 class OnlineMatcher {
  public:
   virtual ~OnlineMatcher() = default;
@@ -118,32 +118,18 @@ class OnlineMatcher {
     return Status::OK();
   }
 
-  /// True when Resolve may be called from several threads at once. Methods
-  /// whose resolution mutates shared state without internal locking (EO,
-  /// INV) keep the default.
+  /// True when ResolveInto may be called from several threads at once.
+  /// Methods whose resolution mutates shared state without internal
+  /// locking (EO, INV, PPRL) keep the default.
   virtual bool SupportsConcurrentResolve() const { return false; }
 
-  /// Resolves a query record: returns the ids of the records this method
-  /// reports as matches (its "result set"). Precision/recall are computed
-  /// over exactly these pairs.
-  virtual Result<std::vector<RecordId>> Resolve(
-      const Record& query, const std::vector<std::string>& keys,
-      const std::string& key_values) = 0;
-
-  /// Resolve() into reused buffers: the result set lands in
-  /// `scratch->matches`, identical to what Resolve returns. The default
-  /// bridges through Resolve (allocating); the sketch matchers override it
-  /// to run the steady-state query without heap allocations once the
-  /// scratch is warm.
+  /// Resolves a query record whose blocking keys are `keys`: the ids of the
+  /// records this method reports as matches (its "result set") land in
+  /// `scratch->matches`. Precision/recall are computed over exactly these
+  /// pairs. The sketch matchers run the steady-state query without heap
+  /// allocations once the scratch is warm.
   virtual Status ResolveInto(const Record& query, const KeyScratch& keys,
-                             QueryScratch* scratch) {
-    std::vector<std::string> key_vec(keys.keys.begin(),
-                                     keys.keys.begin() + keys.num_keys);
-    auto result = Resolve(query, key_vec, keys.key_values);
-    if (!result.ok()) return result.status();
-    scratch->matches = std::move(*result);
-    return Status::OK();
-  }
+                             QueryScratch* scratch) = 0;
 
   /// Similarity computations performed so far (the cost driver the paper
   /// tracks).

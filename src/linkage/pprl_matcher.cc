@@ -26,15 +26,14 @@ Status PprlMatcher::Insert(const Record& record,
   return Status::OK();
 }
 
-Result<std::vector<RecordId>> PprlMatcher::Resolve(
-    const Record& query, const std::vector<std::string>& keys,
-    const std::string& key_values) {
-  (void)key_values;
+Status PprlMatcher::ResolveInto(const Record& query, const KeyScratch& keys,
+                                QueryScratch* scratch) {
   const BitVector query_encoding = blocker_->Embed(query);
   std::unordered_set<RecordId> seen;
-  std::vector<RecordId> matches;
-  for (const std::string& key : keys) {
-    auto it = blocks_.find(key);
+  std::vector<RecordId>& matches = scratch->matches;
+  matches.clear();
+  for (size_t i = 0; i < keys.num_keys; ++i) {
+    auto it = blocks_.find(keys.keys[i]);
     if (it == blocks_.end()) continue;
     for (RecordId id : it->second) {
       if (!seen.insert(id).second) continue;
@@ -47,7 +46,7 @@ Result<std::vector<RecordId>> PprlMatcher::Resolve(
       }
     }
   }
-  return matches;
+  return Status::OK();
 }
 
 size_t PprlMatcher::ApproximateMemoryUsage() const {

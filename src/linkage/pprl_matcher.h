@@ -32,9 +32,8 @@ class PprlMatcher : public OnlineMatcher {
 
   /// Encodes the query, collects LSH candidates, and reports those whose
   /// encodings are Hamming-similar above the threshold.
-  Result<std::vector<RecordId>> Resolve(
-      const Record& query, const std::vector<std::string>& keys,
-      const std::string& key_values) override;
+  Status ResolveInto(const Record& query, const KeyScratch& keys,
+                     QueryScratch* scratch) override;
 
   uint64_t comparisons() const override { return comparisons_; }
   size_t ApproximateMemoryUsage() const override;

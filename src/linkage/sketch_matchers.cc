@@ -4,17 +4,23 @@
 
 namespace sketchlink {
 
-Status CollectCandidates(ShardedSBlockSketch& sketch, const KeyScratch& keys,
+template <Residency kResidency>
+Status CollectCandidates(ShardedSketch<kResidency>& sketch,
+                         const KeyScratch& keys,
                          std::vector<CandidateList>* groups) {
   // clear() drops the previous query's pins but keeps the vector capacity;
   // Candidates pins a published snapshot without allocating.
   groups->clear();
   if (groups->capacity() < keys.num_keys) groups->reserve(keys.num_keys);
   for (size_t i = 0; i < keys.num_keys; ++i) {
-    Result<CandidateList> group =
-        sketch.Candidates(keys.keys[i], keys.key_values);
-    if (!group.ok()) return group.status();
-    groups->push_back(std::move(*group));
+    if constexpr (kResidency == Residency::kBounded) {
+      Result<CandidateList> group =
+          sketch.Candidates(keys.keys[i], keys.key_values);
+      if (!group.ok()) return group.status();
+      groups->push_back(std::move(*group));
+    } else {
+      groups->push_back(sketch.Candidates(keys.keys[i], keys.key_values));
+    }
   }
   return Status::OK();
 }
@@ -50,18 +56,6 @@ Status FinishResolveInto(const Record& query, const CandidateGroups& candidates,
   return Status::OK();
 }
 
-/// Allocating wrapper over FinishResolveInto for the legacy Resolve path.
-template <typename CandidateGroups>
-Result<std::vector<RecordId>> FinishResolve(
-    const Record& query, const CandidateGroups& candidates, ResolveMode mode,
-    const RecordSimilarity& similarity, const RecordStore& store,
-    std::atomic<uint64_t>* comparisons) {
-  QueryScratch scratch;
-  SKETCHLINK_RETURN_IF_ERROR(FinishResolveInto(
-      query, candidates, mode, similarity, store, comparisons, &scratch));
-  return std::move(scratch.matches);
-}
-
 /// Flattens a prepared batch into per-(key, record) sketch inserts, in batch
 /// order. The pointers reference the batch, which outlives the call.
 std::vector<SketchInsert> FlattenBatch(
@@ -81,96 +75,55 @@ std::vector<SketchInsert> FlattenBatch(
 
 }  // namespace
 
-Status BlockSketchMatcher::Insert(const Record& record,
-                                  const std::vector<std::string>& keys,
-                                  const std::string& key_values) {
+template <Residency kResidency>
+Status SketchMatcher<kResidency>::Insert(const Record& record,
+                                         const std::vector<std::string>& keys,
+                                         const std::string& key_values) {
   SKETCHLINK_RETURN_IF_ERROR(store_->Put(record));
   for (const std::string& key : keys) {
-    sketch_.Insert(key, key_values, record.id);
+    if constexpr (kBounded) {
+      SKETCHLINK_RETURN_IF_ERROR(sketch_.Insert(key, key_values, record.id));
+    } else {
+      sketch_.Insert(key, key_values, record.id);
+    }
   }
   return Status::OK();
 }
 
-Status BlockSketchMatcher::InsertBatch(const std::vector<PreparedRecord>& batch,
-                                       ThreadPool* pool) {
-  // The record store is a plain hash map: fill it sequentially, then let the
-  // striped sketch absorb the flattened batch in parallel.
-  for (const PreparedRecord& prepared : batch) {
-    SKETCHLINK_RETURN_IF_ERROR(store_->Put(*prepared.record));
-  }
-  sketch_.InsertBatch(FlattenBatch(batch), pool);
-  return Status::OK();
-}
-
-Result<std::vector<RecordId>> BlockSketchMatcher::Resolve(
-    const Record& query, const std::vector<std::string>& keys,
-    const std::string& key_values) {
-  std::vector<CandidateList> candidates;
-  candidates.reserve(keys.size());
-  for (const std::string& key : keys) {
-    candidates.push_back(sketch_.Candidates(key, key_values));
-  }
-  return FinishResolve(query, candidates, mode_, similarity_, *store_,
-                       &comparisons_);
-}
-
-Status BlockSketchMatcher::ResolveInto(const Record& query,
-                                       const KeyScratch& keys,
-                                       QueryScratch* scratch) {
-  // clear() drops the previous query's pins but keeps the vector capacity;
-  // Candidates pins a published snapshot without allocating.
-  scratch->groups.clear();
-  if (scratch->groups.capacity() < keys.num_keys) {
-    scratch->groups.reserve(keys.num_keys);
-  }
-  for (size_t i = 0; i < keys.num_keys; ++i) {
-    scratch->groups.push_back(sketch_.Candidates(keys.keys[i],
-                                                 keys.key_values));
-  }
-  return FinishResolveInto(query, scratch->groups, mode_, similarity_, *store_,
-                           &comparisons_, scratch);
-}
-
-Status SBlockSketchMatcher::Insert(const Record& record,
-                                   const std::vector<std::string>& keys,
-                                   const std::string& key_values) {
-  SKETCHLINK_RETURN_IF_ERROR(store_->Put(record));
-  for (const std::string& key : keys) {
-    SKETCHLINK_RETURN_IF_ERROR(sketch_.Insert(key, key_values, record.id));
-  }
-  return Status::OK();
-}
-
-Status SBlockSketchMatcher::InsertBatch(
+template <Residency kResidency>
+Status SketchMatcher<kResidency>::InsertBatch(
     const std::vector<PreparedRecord>& batch, ThreadPool* pool) {
+  // The record store takes the records sequentially, then the striped
+  // sketch absorbs the flattened batch in parallel.
   for (const PreparedRecord& prepared : batch) {
     SKETCHLINK_RETURN_IF_ERROR(store_->Put(*prepared.record));
   }
-  return sketch_.InsertBatch(FlattenBatch(batch), pool);
-}
-
-Result<std::vector<RecordId>> SBlockSketchMatcher::Resolve(
-    const Record& query, const std::vector<std::string>& keys,
-    const std::string& key_values) {
-  std::vector<CandidateList> candidates;
-  candidates.reserve(keys.size());
-  for (const std::string& key : keys) {
-    auto group = sketch_.Candidates(key, key_values);
-    if (!group.ok()) return group.status();
-    candidates.push_back(std::move(*group));
+  if constexpr (kBounded) {
+    return sketch_.InsertBatch(FlattenBatch(batch), pool);
+  } else {
+    sketch_.InsertBatch(FlattenBatch(batch), pool);
+    return Status::OK();
   }
-  return FinishResolve(query, candidates, mode_, similarity_, *store_,
-                       &comparisons_);
 }
 
-Status SBlockSketchMatcher::ResolveInto(const Record& query,
-                                        const KeyScratch& keys,
-                                        QueryScratch* scratch) {
+template <Residency kResidency>
+Status SketchMatcher<kResidency>::ResolveInto(const Record& query,
+                                              const KeyScratch& keys,
+                                              QueryScratch* scratch) {
   SKETCHLINK_RETURN_IF_ERROR(
       CollectCandidates(sketch_, keys, &scratch->groups));
   return FinishResolveInto(query, scratch->groups, mode_, similarity_, *store_,
                            &comparisons_, scratch);
 }
+
+template class SketchMatcher<Residency::kUnbounded>;
+template class SketchMatcher<Residency::kBounded>;
+template Status CollectCandidates(ShardedSketch<Residency::kUnbounded>&,
+                                  const KeyScratch&,
+                                  std::vector<CandidateList>*);
+template Status CollectCandidates(ShardedSketch<Residency::kBounded>&,
+                                  const KeyScratch&,
+                                  std::vector<CandidateList>*);
 
 Status NaiveBlockMatcher::Insert(const Record& record,
                                  const std::vector<std::string>& keys,
@@ -183,19 +136,18 @@ Status NaiveBlockMatcher::Insert(const Record& record,
   return Status::OK();
 }
 
-Result<std::vector<RecordId>> NaiveBlockMatcher::Resolve(
-    const Record& query, const std::vector<std::string>& keys,
-    const std::string& key_values) {
-  (void)key_values;
+Status NaiveBlockMatcher::ResolveInto(const Record& query,
+                                      const KeyScratch& keys,
+                                      QueryScratch* scratch) {
   std::vector<std::vector<RecordId>> candidates;
-  for (const std::string& key : keys) {
-    auto it = blocks_.find(key);
+  for (size_t i = 0; i < keys.num_keys; ++i) {
+    auto it = blocks_.find(keys.keys[i]);
     if (it != blocks_.end()) candidates.push_back(it->second);
   }
   // The naive scan always verifies: that is the linear baseline being
   // summarized away.
-  return FinishResolve(query, candidates, ResolveMode::kVerified, similarity_,
-                       *store_, &comparisons_);
+  return FinishResolveInto(query, candidates, ResolveMode::kVerified,
+                           similarity_, *store_, &comparisons_, scratch);
 }
 
 size_t NaiveBlockMatcher::ApproximateMemoryUsage() const {

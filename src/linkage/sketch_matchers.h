@@ -6,8 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/block_sketch.h"
-#include "core/sblock_sketch.h"
 #include "core/sharded_sketch.h"
 #include "linkage/matcher.h"
 #include "linkage/record_store.h"
@@ -26,7 +24,7 @@ namespace sketchlink {
 /// resolution is linear in the sub-block — an extension, not the paper).
 enum class ResolveMode { kSubBlock, kVerified };
 
-/// BlockSketch wrapped as an OnlineMatcher: blocking routes records into
+/// The sketch wrapped as an OnlineMatcher: blocking routes records into
 /// sub-blocks; resolution routes the query via the representatives and
 /// reports its target sub-block (see ResolveMode). Duplicate candidate
 /// pairs arising from redundant (LSH) blocking are discarded with a
@@ -34,66 +32,30 @@ enum class ResolveMode { kSubBlock, kVerified };
 ///
 /// Backed by a striped sketch: builds shard across a thread pool and
 /// queries run concurrently, with results identical to a sequential run at
-/// every thread count (see DESIGN.md, Threading model).
-class BlockSketchMatcher : public OnlineMatcher {
+/// every thread count (see DESIGN.md, Threading model). The bounded
+/// (streaming) matcher keeps at most mu live blocks and serves spilled ones
+/// from the key/value store; each stripe's eviction queue serializes on
+/// that stripe's write mutex (queries stay lock-free, DESIGN.md §10), and
+/// all stripes share the (thread-safe) spill store.
+template <Residency kResidency>
+class SketchMatcher : public OnlineMatcher {
  public:
+  static constexpr bool kBounded = kResidency == Residency::kBounded;
+
   /// `store` must outlive the matcher.
-  BlockSketchMatcher(const BlockSketchOptions& options,
-                     RecordSimilarity similarity, RecordStore* store,
-                     ResolveMode mode = ResolveMode::kSubBlock)
+  SketchMatcher(const BlockSketchOptions& options, RecordSimilarity similarity,
+                RecordStore* store, ResolveMode mode = ResolveMode::kSubBlock)
+    requires(!kBounded)
       : sketch_(options),
         similarity_(std::move(similarity)),
         store_(store),
         mode_(mode) {}
 
-  Status Insert(const Record& record, const std::vector<std::string>& keys,
-                const std::string& key_values) override;
-  Status InsertBatch(const std::vector<PreparedRecord>& batch,
-                     ThreadPool* pool) override;
-  Result<std::vector<RecordId>> Resolve(
-      const Record& query, const std::vector<std::string>& keys,
-      const std::string& key_values) override;
-  Status ResolveInto(const Record& query, const KeyScratch& keys,
-                     QueryScratch* scratch) override;
-  bool SupportsConcurrentResolve() const override { return true; }
-
-  uint64_t comparisons() const override {
-    return comparisons_.load(std::memory_order_relaxed) +
-           sketch_.stats().representative_comparisons;
-  }
-  size_t ApproximateMemoryUsage() const override {
-    return sketch_.ApproximateMemoryUsage();
-  }
-  std::string name() const override { return "BlockSketch"; }
-
-  void RegisterMetrics(obs::Registry* registry,
-                       const std::string& instance) override {
-    metric_registrations_ = sketch_.RegisterMetrics(registry, instance);
-  }
-
-  const ShardedBlockSketch& sketch() const { return sketch_; }
-
- private:
-  ShardedBlockSketch sketch_;
-  RecordSimilarity similarity_;
-  RecordStore* store_;
-  ResolveMode mode_;
-  std::atomic<uint64_t> comparisons_{0};
-  // Declared after sketch_ so deregistration (which reads the sketch) runs
-  // before the sketch is torn down.
-  std::vector<obs::Registration> metric_registrations_;
-};
-
-/// SBlockSketch wrapped as an OnlineMatcher (streaming variant; live blocks
-/// bounded by mu, spilled blocks served from the key/value store). Striped
-/// like BlockSketchMatcher; each stripe's eviction queue serializes on that
-/// stripe's write mutex (queries stay lock-free, DESIGN.md §10), and all
-/// stripes share the (thread-safe) spill store.
-class SBlockSketchMatcher : public OnlineMatcher {
- public:
-  SBlockSketchMatcher(const SBlockSketchOptions& options, kv::Db* spill_db,
-                      RecordSimilarity similarity, RecordStore* store,
-                      ResolveMode mode = ResolveMode::kSubBlock)
+  /// `spill_db` and `store` must outlive the matcher.
+  SketchMatcher(const SBlockSketchOptions& options, kv::Db* spill_db,
+                RecordSimilarity similarity, RecordStore* store,
+                ResolveMode mode = ResolveMode::kSubBlock)
+    requires(kBounded)
       : sketch_(options, spill_db),
         similarity_(std::move(similarity)),
         store_(store),
@@ -103,9 +65,6 @@ class SBlockSketchMatcher : public OnlineMatcher {
                 const std::string& key_values) override;
   Status InsertBatch(const std::vector<PreparedRecord>& batch,
                      ThreadPool* pool) override;
-  Result<std::vector<RecordId>> Resolve(
-      const Record& query, const std::vector<std::string>& keys,
-      const std::string& key_values) override;
   Status ResolveInto(const Record& query, const KeyScratch& keys,
                      QueryScratch* scratch) override;
   bool SupportsConcurrentResolve() const override { return true; }
@@ -117,17 +76,19 @@ class SBlockSketchMatcher : public OnlineMatcher {
   size_t ApproximateMemoryUsage() const override {
     return sketch_.ApproximateMemoryUsage();
   }
-  std::string name() const override { return "SBlockSketch"; }
+  std::string name() const override {
+    return kBounded ? "SBlockSketch" : "BlockSketch";
+  }
 
   void RegisterMetrics(obs::Registry* registry,
                        const std::string& instance) override {
     metric_registrations_ = sketch_.RegisterMetrics(registry, instance);
   }
 
-  const ShardedSBlockSketch& sketch() const { return sketch_; }
+  const ShardedSketch<kResidency>& sketch() const { return sketch_; }
 
  private:
-  ShardedSBlockSketch sketch_;
+  ShardedSketch<kResidency> sketch_;
   RecordSimilarity similarity_;
   RecordStore* store_;
   ResolveMode mode_;
@@ -137,11 +98,19 @@ class SBlockSketchMatcher : public OnlineMatcher {
   std::vector<obs::Registration> metric_registrations_;
 };
 
+extern template class SketchMatcher<Residency::kUnbounded>;
+extern template class SketchMatcher<Residency::kBounded>;
+
+using BlockSketchMatcher = SketchMatcher<Residency::kUnbounded>;
+using SBlockSketchMatcher = SketchMatcher<Residency::kBounded>;
+
 /// Pins the candidate group of every key in `keys` into `*groups` (cleared
-/// first, capacity kept), failing with the first lookup's error. The
-/// SBlockSketch matcher and the service's query handler both collect their
-/// candidates through it.
-Status CollectCandidates(ShardedSBlockSketch& sketch, const KeyScratch& keys,
+/// first, capacity kept), failing with the first lookup's error. The sketch
+/// matchers and the service's query handler all collect their candidates
+/// through it.
+template <Residency kResidency>
+Status CollectCandidates(ShardedSketch<kResidency>& sketch,
+                         const KeyScratch& keys,
                          std::vector<CandidateList>* groups);
 
 /// The naive matching phase the paper's methods replace: a query is compared
@@ -155,9 +124,8 @@ class NaiveBlockMatcher : public OnlineMatcher {
 
   Status Insert(const Record& record, const std::vector<std::string>& keys,
                 const std::string& key_values) override;
-  Result<std::vector<RecordId>> Resolve(
-      const Record& query, const std::vector<std::string>& keys,
-      const std::string& key_values) override;
+  Status ResolveInto(const Record& query, const KeyScratch& keys,
+                     QueryScratch* scratch) override;
   bool SupportsConcurrentResolve() const override { return true; }
 
   uint64_t comparisons() const override {

@@ -65,7 +65,10 @@ class InvTest : public ::testing::Test {
     return matcher_.Insert(record, {}, "");
   }
   Result<std::vector<RecordId>> Resolve(const Record& query) {
-    return matcher_.Resolve(query, {}, "");
+    KeyScratch keys;
+    QueryScratch scratch;
+    SKETCHLINK_RETURN_IF_ERROR(matcher_.ResolveInto(query, keys, &scratch));
+    return std::move(scratch.matches);
   }
 
   RecordStore store_;
@@ -140,7 +143,12 @@ class EoTest : public ::testing::Test {
   }
   Result<std::vector<RecordId>> Resolve(const Record& query,
                                         const std::string& key) {
-    return matcher_.Resolve(query, {key}, "");
+    KeyScratch keys;
+    keys.keys = {key};
+    keys.num_keys = 1;
+    QueryScratch scratch;
+    SKETCHLINK_RETURN_IF_ERROR(matcher_.ResolveInto(query, keys, &scratch));
+    return std::move(scratch.matches);
   }
 
   RecordStore store_;

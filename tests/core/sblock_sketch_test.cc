@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/coding.h"
 #include "kv/env.h"
 #include "kv/fault_injection_env.h"
 
@@ -309,6 +313,88 @@ TEST_F(SBlockSketchFaultTest, SpillDeleteFailureKeepsReloadedBlockLive) {
   auto candidates = sketch.Candidates("AAA", "AAA#V");
   ASSERT_TRUE(candidates.ok());
   EXPECT_EQ(candidates->size(), 1u);
+}
+
+/// Spill records the sketch never writes, by name: "lambda" is well formed
+/// but has one sub-block where a lambda = 3 sketch routes over three;
+/// "oversized" is 10 bytes whose sub-block count, 2^32 - 1, exceeds the
+/// record.
+std::vector<std::pair<std::string, std::string>> BadSpillRecords() {
+  SketchBlock one_sub(1);
+  one_sub.anchor = "AAA#V";
+  one_sub.subs[0].representatives = {"AAA#V"};
+  one_sub.subs[0].members = {1};
+  std::string lambda;
+  one_sub.EncodeTo(&lambda);
+  std::string oversized;
+  PutLengthPrefixed(&oversized, "");
+  PutVarint32(&oversized, UINT32_MAX);
+  oversized.resize(10, '\0');
+  return {{"lambda", lambda}, {"oversized", oversized}};
+}
+
+std::string SpillKeyOf(const std::string& block_key) {
+  return "blk\x01" + block_key;
+}
+
+// "ZZZ" shares no character with the anchor "AAA#V": Jaro-Winkler distance
+// 1.0, the outermost ring (lambda - 1), which a one-sub record lacks.
+constexpr const char* kFarValues = "ZZZ";
+
+TEST_F(SBlockSketchFaultTest, BadSpillRecordFailsInsertWithCorruption) {
+  for (const auto& [name, record] : BadSpillRecords()) {
+    SBlockSketch sketch(Options(2), db_.get());
+    ASSERT_TRUE(db_->Put(SpillKeyOf(name), record).ok());
+    const Status status = sketch.Insert(name, kFarValues, 7);
+    EXPECT_TRUE(status.IsCorruption()) << name << ": " << status.ToString();
+  }
+}
+
+TEST_F(SBlockSketchFaultTest, BadSpillRecordFailsCandidatesWithCorruption) {
+  for (const auto& [name, record] : BadSpillRecords()) {
+    SBlockSketch sketch(Options(1), db_.get());
+    ASSERT_TRUE(sketch.Insert(name, "AAA#V", 1).ok());
+    ASSERT_TRUE(sketch.Insert(name + "_other", "OTHER#V", 2).ok());  // spills
+    ASSERT_TRUE(db_->Put(SpillKeyOf(name), record).ok());
+    const auto candidates = sketch.Candidates(name, kFarValues);
+    EXPECT_TRUE(candidates.status().IsCorruption())
+        << name << ": " << candidates.status().ToString();
+  }
+}
+
+TEST_F(SBlockSketchFaultTest, BadSpillRecordFailsPoisonedReadWithCorruption) {
+  for (const auto& [name, record] : BadSpillRecords()) {
+    MaintenanceQueue maintenance;
+    SBlockSketch sketch(Options(1), db_.get(), KeyDistanceFn(), &maintenance);
+    ASSERT_TRUE(sketch.Insert(name, "AAA#V", 1).ok());
+    ASSERT_TRUE(sketch.Insert(name + "_b", "B#V", 2).ok());  // spills `name`
+    ASSERT_TRUE(sketch.WaitForMaintenance().ok());
+    ASSERT_TRUE(db_->Put(SpillKeyOf(name), record).ok());
+    // The next spill dies, which poisons writes: reads of spilled blocks
+    // then go through the read-only path.
+    env_.FailNth(kv::IoOp::kAppend, 0, Status::IOError("injected spill"));
+    ASSERT_TRUE(sketch.Insert(name + "_c", "C#V", 3).ok());
+    ASSERT_TRUE(sketch.WaitForMaintenance().IsIOError());
+    const auto candidates = sketch.Candidates(name, kFarValues);
+    EXPECT_TRUE(candidates.status().IsCorruption())
+        << name << ": " << candidates.status().ToString();
+  }
+}
+
+TEST(SketchBlockCodecTest, DecodeRejectsCountsLargerThanTheRecord) {
+  // Each count in turn claims more entries than bytes remain.
+  for (int field = 0; field < 3; ++field) {
+    std::string encoded;
+    PutLengthPrefixed(&encoded, "A");
+    PutVarint32(&encoded, field == 0 ? UINT32_MAX : 1);
+    PutVarint32(&encoded, field == 1 ? UINT32_MAX : 0);
+    PutVarint32(&encoded, field == 2 ? UINT32_MAX : 0);
+    encoded.append(4, '\0');
+    std::string_view input(encoded);
+    const auto decoded = SketchBlock::DecodeFrom(&input);
+    EXPECT_TRUE(decoded.status().IsCorruption())
+        << "field " << field << ": " << decoded.status().ToString();
+  }
 }
 
 class MuSweep : public ::testing::TestWithParam<size_t> {};

@@ -40,10 +40,12 @@ TEST(PprlMatcherTest, MatchesPerturbedEncodingsOnly) {
   Record query = base;
   query.id = 100;
   query.fields[1] = "JOHNSONN";  // one typo
-  auto matches = matcher.Resolve(query, blocker->Keys(query), "");
-  ASSERT_TRUE(matches.ok());
-  ASSERT_EQ(matches->size(), 1u);
-  EXPECT_EQ((*matches)[0], 1u);
+  KeyScratch keys;
+  blocker->ExtractKeys(query, &keys);
+  QueryScratch scratch;
+  ASSERT_TRUE(matcher.ResolveInto(query, keys, &scratch).ok());
+  ASSERT_EQ(scratch.matches.size(), 1u);
+  EXPECT_EQ(scratch.matches[0], 1u);
 }
 
 TEST(PprlMatcherTest, EndToEndQualityTracksPlaintextLinkage) {
@@ -100,9 +102,11 @@ TEST(PprlMatcherTest, EmptyIndexResolvesEmpty) {
   Record query;
   query.id = 1;
   query.fields = {"ALBUMIN", "4.2", "2015"};
-  auto matches = matcher.Resolve(query, blocker->Keys(query), "");
-  ASSERT_TRUE(matches.ok());
-  EXPECT_TRUE(matches->empty());
+  KeyScratch keys;
+  blocker->ExtractKeys(query, &keys);
+  QueryScratch scratch;
+  ASSERT_TRUE(matcher.ResolveInto(query, keys, &scratch).ok());
+  EXPECT_TRUE(scratch.matches.empty());
 }
 
 }  // namespace
